@@ -7,20 +7,36 @@
 // final tally, BinarySearchTopK's unbudgeted fetch), the budget is
 // unreachable: the call is exactly "count the tau-qualifying matches
 // and keep the k heaviest". That computation is embarrassingly
-// parallel, and FlatScanTopKInto runs it sharded:
+// parallel, and FlatScanTopKInto runs it sharded in two regions:
 //
-//   shard -> local top-k -> single merge.
+//   shard -> sorted local run | co-ranked split -> sharded merge.
 //
-// Each shard scans a contiguous slice of a FlatMirror (an SoA copy of
-// the element set: the weights live in their own contiguous array so
-// the tau prefilter is a branchless compare-and-compress over doubles —
-// the measured SIMD-friendly layout; see EXPERIMENTS.md E27), selects
-// into a per-shard pool pruned with SelectTopKUnordered (the E24
-// strategy rule applies at the final merge), and the caller merges once
-// with SelectTopK. Exactness: (weight, id) is a strict total order, so
-// the union of per-shard top-min(k, |shard|) supersets the global
-// top-k, and the exact match count reproduces every protocol decision
-// the monitored query would have made (hit_budget <=> count >= budget).
+// Region 1: each shard scans a contiguous slice of a FlatMirror (an SoA
+// copy of the element set: the weights live in their own contiguous
+// array so the tau prefilter is a branchless compare-and-compress over
+// doubles — the measured SIMD-friendly layout; see EXPERIMENTS.md E27)
+// into a per-shard pool pruned with SelectTopKUnordered, then finishes
+// on its own thread with SelectTopK: the pool becomes a sorted run
+// holding that shard's top-min(k, |pool|), heaviest first (the E24
+// strategy rule applies per run).
+//
+// Region 2: the output is want = min(k, total run length) elements.
+// Shard j owns output ranks [want*j/S, want*(j+1)/S). It finds its
+// slice's start in every run by co-ranking — an element's rank in the
+// merged order is its index in its own run plus the number of heavier
+// elements in each other run (a partition_point), which grows with the
+// index, so a binary search per run finds how many of that run's
+// elements precede the slice — and S-way merges its slice straight
+// into *out. Slices are disjoint, so the region needs no
+// synchronization. Below kMinShardedN output elements the second
+// barrier costs more than it saves and the caller merges serially.
+//
+// Exactness: (weight, id) is a strict total order, so the union of the
+// per-shard top-min(k, |shard|) runs supersets the global top-k, every
+// element has a unique merged rank (the co-ranks of rank r sum to r
+// exactly), and the exact match count reproduces every protocol
+// decision the monitored query would have made (hit_budget <=> count
+// >= budget).
 //
 // Accounting: this kernel charges NOTHING. The calling reduction
 // charges the issuance through ChargeFlatScan (core/sink.h — the single
@@ -29,17 +45,20 @@
 // totals and helpers never touch stats or tracers.
 //
 // Scratch: all shard pools are borrowed from the QUERY's Scratch by the
-// calling thread before the region; helpers only ever touch the
-// borrowed vectors' contents, never arena bookkeeping.
+// calling thread before the first region; helpers only ever touch the
+// borrowed vectors' contents, never arena bookkeeping. The merge writes
+// into *out after one resize, so a warm output buffer never allocates.
 
 #ifndef TOPK_PARALLEL_FLAT_SCAN_H_
 #define TOPK_PARALLEL_FLAT_SCAN_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,8 +77,9 @@ namespace topk::parallel {
 // fixed-size arrays (no allocation on the query path).
 inline constexpr size_t kMaxShards = 32;
 
-// Below this the scan fits comfortably in one core's cache and the
-// barrier handshake costs more than it saves.
+// Below this the scan (or, for the merge, the output) fits comfortably
+// in one core's cache and the barrier handshake costs more than it
+// saves.
 inline constexpr size_t kMinShardedN = 4096;
 
 // Structure-of-arrays copy of an element set for the sharded scan:
@@ -134,6 +154,67 @@ inline bool ShouldShard(Context* par, size_t n, size_t budget) {
          n >= kMinShardedN;
 }
 
+namespace flat_scan_internal {
+
+// Rank of runs[s][i] in the merged heaviest-first order of all runs:
+// its index in its own run plus the heavier elements of every other.
+template <typename E>
+size_t MergedRank(const std::span<const E>* runs, size_t shards, size_t s,
+                  size_t i) {
+  const E& e = runs[s][i];
+  size_t rank = i;
+  for (size_t t = 0; t < shards; ++t) {
+    if (t == s) continue;
+    rank += static_cast<size_t>(
+        std::partition_point(runs[t].begin(), runs[t].end(),
+                             [&](const E& x) { return HeavierThan(x, e); }) -
+        runs[t].begin());
+  }
+  return rank;
+}
+
+// Co-ranks of output rank r: heads[s] = how many of run s's elements
+// have merged rank < r. MergedRank grows with the index (and is >= it),
+// so a binary search over [0, min(|run|, r)] finds each one; they sum
+// to r exactly because the order is strict.
+template <typename E>
+void CoRanks(const std::span<const E>* runs, size_t shards, size_t r,
+             size_t* heads) {
+  for (size_t s = 0; s < shards; ++s) {
+    size_t lo = 0;
+    size_t hi = runs[s].size() < r ? runs[s].size() : r;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (MergedRank(runs, shards, s, mid) < r) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    heads[s] = lo;
+  }
+}
+
+// Writes the next `count` elements of the merged order, starting from
+// the run positions in heads (advanced in place), to out[0, count).
+template <typename E>
+void MergeRuns(const std::span<const E>* runs, size_t shards, size_t* heads,
+               E* out, size_t count) {
+  for (size_t o = 0; o < count; ++o) {
+    size_t best = shards;
+    for (size_t s = 0; s < shards; ++s) {
+      if (heads[s] == runs[s].size()) continue;
+      if (best == shards ||
+          HeavierThan(runs[s][heads[s]], runs[best][heads[best]])) {
+        best = s;
+      }
+    }
+    out[o] = runs[best][heads[best]++];
+  }
+}
+
+}  // namespace flat_scan_internal
+
 // Scans `flat` for elements matching `q` with weight >= tau, writes the
 // min(k, matched) heaviest into *out sorted heaviest-first, and returns
 // the EXACT match count. Runs sharded across par's workers when
@@ -167,8 +248,11 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
   }
 
   // Per-shard pools are pruned back to k whenever they reach this, and
-  // the weakest survivor then prefilters further insertions.
-  const size_t cap = (4 * k > size_t{256}) ? 4 * k : size_t{256};
+  // the weakest survivor then prefilters further insertions. Saturates:
+  // for k > SIZE_MAX / 4 the pool is never pruned (4 * k would wrap).
+  const size_t cap = k > std::numeric_limits<size_t>::max() / 4
+                         ? std::numeric_limits<size_t>::max()
+                         : std::max(4 * k, size_t{256});
 
   auto job = [&](size_t s) {
     const size_t lo = n * s / shards;
@@ -214,6 +298,7 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
       }
     }
     matched[s] = count;
+    SelectTopK(&pool, k);  // the shard's sorted local run
   };
 
   if (shards == 1) {
@@ -223,12 +308,29 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
   }
 
   size_t total = 0;
-  out->clear();
+  size_t run_total = 0;
+  std::array<std::span<const Element>, kMaxShards> runs;
   for (size_t s = 0; s < shards; ++s) {
     total += matched[s];
-    for (const Element& e : (*pools[s]).vec()) out->push_back(e);
+    runs[s] = (*pools[s]).vec();
+    run_total += runs[s].size();
   }
-  SelectTopK(out, k);
+  const size_t want = k < run_total ? k : run_total;
+  out->resize(want);
+  if (shards == 1 || want < kMinShardedN) {
+    std::array<size_t, kMaxShards> heads{};
+    flat_scan_internal::MergeRuns(runs.data(), shards, heads.data(),
+                                  out->data(), want);
+  } else {
+    par->pool().RunShards([&](size_t j) {
+      const size_t begin = want * j / shards;
+      const size_t end = want * (j + 1) / shards;
+      std::array<size_t, kMaxShards> heads{};
+      flat_scan_internal::CoRanks(runs.data(), shards, begin, heads.data());
+      flat_scan_internal::MergeRuns(runs.data(), shards, heads.data(),
+                                    out->data() + begin, end - begin);
+    });
+  }
 
 #ifdef TOPK_AUDIT
   // Shard/merge audit: the sharded answer must equal a serial brute

@@ -28,6 +28,7 @@
 #include "core/sampled_topk.h"
 #include "federate/coordinator.h"
 #include "federate/shard_map.h"
+#include "parallel/flat_scan.h"
 #include "range1d/count_tree.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
@@ -222,7 +223,11 @@ void ExpectZeroAllocSteadyStateIntraParallel(const Structure& s,
     r.predicate = Range1D{lo, hi};
     // Every third request deep enough to shard the terminal fetch; the
     // rest keep the small-k paths (and their serial pools) warm too.
+    // Every other deep request spans the whole x domain, so its output
+    // is n / 2 + 1 + i elements: the kernel splits the merge across
+    // shards once that reaches parallel::kMinShardedN.
     r.k = (i % 3 == 0) ? n / 2 + 1 + i : 1 + i * 7 % 60;
+    if (i % 6 == 0) r.predicate = Range1D{0.0, static_cast<double>(n / 4)};
     requests.push_back(r);
   }
 
@@ -277,9 +282,9 @@ TEST(AllocRegression, CountingTopKZeroSteadyStateAllocs) {
 }
 
 // Sharded-kernel data: big enough for every mirror to engage.
-std::vector<Point1D> ShardableData() {
+std::vector<Point1D> ShardableData(size_t n = 5000) {
   Rng rng(4321);
-  return test::ClumpedPoints1D(5000, &rng);
+  return test::ClumpedPoints1D(n, &rng);
 }
 
 TEST(AllocRegression, IntraQueryParallelZeroSteadyStateAllocs) {
@@ -299,6 +304,32 @@ TEST(AllocRegression, IntraQueryParallelZeroSteadyStateAllocs) {
   {
     Counting s(ShardableData());
     ExpectZeroAllocSteadyStateIntraParallel(s, 5000);
+  }
+}
+
+// Deep k at n = 2^14: the whole-domain requests return more than
+// kMinShardedN elements, so the sorted local runs are merged by the
+// co-ranked sharded merge (a second parallel region writing straight
+// into the warm result slot) — still zero allocations.
+TEST(AllocRegression, ShardedMergeZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  constexpr size_t kDeepN = size_t{1} << 14;
+  static_assert(kDeepN / 2 >= parallel::kMinShardedN);
+  {
+    Thm1 s(ShardableData(kDeepN));
+    ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
+  }
+  {
+    Thm2 s(ShardableData(kDeepN));
+    ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
+  }
+  {
+    Baseline s(ShardableData(kDeepN));
+    ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
+  }
+  {
+    Counting s(ShardableData(kDeepN));
+    ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
   }
 }
 

@@ -18,6 +18,7 @@
 // generation handshake and the shard-private pool slots are the
 // concurrency under test.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -197,6 +198,92 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
       }
     }
   }
+}
+
+// Every selection regime of the kernel at every shard count: k = 0,
+// k below the shard count, k at half the matches (deep enough that the
+// merge is split across shards once the output reaches kMinShardedN),
+// k around the match count (pools never pruned, every run kept whole),
+// and k = SIZE_MAX. The x-sorted generator gives each shard its own
+// x-slice, so narrow ranges leave most shards with empty runs.
+TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
+  constexpr size_t kN = 12000;
+  static_assert(kN / 2 >= parallel::kMinShardedN);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(103);
+  std::vector<Point1D> sorted_by_x = test::ClumpedPoints1D(kN, &rng);
+  std::sort(sorted_by_x.begin(), sorted_by_x.end(),
+            [](const Point1D& a, const Point1D& b) { return a.x < b.x; });
+  const std::vector<std::vector<Point1D>> inputs = {
+      sorted_by_x, SaturatedTies(kN, &rng)};
+  const double x_max = static_cast<double>(kN / 4);
+  struct Cut {
+    Range1D q;
+    double tau;
+  };
+  const Cut cuts[] = {
+      {{-kInf, kInf}, -kInf},             // every element matches
+      {{0.0, x_max / 5}, -kInf},          // first shards only
+      {{x_max * 0.9, x_max}, -kInf},      // last shards only
+      {{x_max / 2, x_max / 2 + 1}, -kInf},  // a handful of matches
+      {{x_max + 1, x_max + 2}, -kInf},    // nothing matches
+      {{0.0, x_max}, 2.0},                // tau on a weight plateau
+  };
+  Scratch scratch;
+  std::vector<Point1D> got;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                        size_t{8}}) {
+    parallel::Context par(shards);
+    for (const std::vector<Point1D>& data : inputs) {
+      const parallel::FlatMirror<Point1D> mirror(data);
+      for (const Cut& cut : cuts) {
+        const std::vector<Point1D> matches =
+            test::BrutePrioritized<Range1DProblem>(data, cut.q, cut.tau);
+        const size_t m = matches.size();
+        const size_t ks[] = {0,
+                             1,
+                             2,
+                             shards - 1,
+                             m / 2,
+                             m == 0 ? 0 : m - 1,
+                             m,
+                             m + 1,
+                             std::numeric_limits<size_t>::max()};
+        for (size_t k : ks) {
+          std::vector<Point1D> want = matches;
+          if (want.size() > k) want.resize(k);
+          const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
+              mirror, cut.q, cut.tau, k, &par, &scratch, &got);
+          EXPECT_EQ(matched, m);
+          ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
+              << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
+              << "," << cut.q.hi << "] tau=" << cut.tau;
+        }
+      }
+    }
+  }
+}
+
+// Regression: the per-shard prune cap was 4 * k unsaturated, so for k
+// just above 2^62 it wrapped to a tiny cap, the pools pruned against a
+// bogus floor, and elements that belonged in the answer were dropped.
+TEST(FlatScan, HugeKNeverPrunesAwayMatches) {
+  Rng rng(104);
+  const std::vector<Point1D> data = test::RandomPoints1D(6000, &rng);
+  const parallel::FlatMirror<Point1D> mirror(data);
+  parallel::Context three(3);
+  Scratch scratch;
+  std::vector<Point1D> got;
+  const Range1D all{-std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  const size_t k = (size_t{1} << 62) + 1;
+  const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
+      mirror, all, -std::numeric_limits<double>::infinity(), k, &three,
+      &scratch, &got);
+  EXPECT_EQ(matched, data.size());
+  ASSERT_EQ(got.size(), data.size());
+  EXPECT_EQ(test::IdsOf(got),
+            test::IdsOf(test::BruteTopK<Range1DProblem>(data, all, k)));
 }
 
 TEST(FlatScan, DynamicMirrorTracksAddRemove) {
