@@ -6,7 +6,7 @@
 // indirect call through a vtable-ish dispatcher. FunctionRef erases by
 // *referencing*: two words (object pointer + trampoline pointer), no
 // allocation ever, one indirect call. The referenced callable must
-// outlive every invocation — which is exactly the ThreadPool::RunOnAll
+// outlive every invocation — which is exactly the WorkerPool::RunShards
 // contract, where the job lives on the caller's stack for the duration
 // of the (blocking) parallel region.
 //

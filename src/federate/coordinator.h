@@ -3,10 +3,13 @@
 //
 // A Coordinator fronts S serve::QueryEngines, one per hash shard of the
 // dataset (federate/shard_map.h). A query fans out to every healthy
-// shard in parallel (one parked worker per shard) and the per-shard
-// answers are merged under the library-wide (weight, id) strict total
-// order, so the federated answer is bitwise-identical to a single
-// engine over the union — never merely "close".
+// shard in parallel on a parallel::WorkerPool of S workers (shard 0 on
+// the calling thread, shards 1..S-1 on parked helpers; a 1-thread
+// shard engine serves inline on the worker driving it, so a fetch
+// round costs one wake and one barrier), and the per-shard answers are
+// merged under the library-wide (weight, id) strict total order, so
+// the federated answer is bitwise-identical to a single engine over
+// the union — never merely "close".
 //
 // Early termination (the threshold-algorithm idea specialized to
 // heaviest-first prefixes): a shard's answer to "top a_s" is its a_s
@@ -55,8 +58,8 @@
 //
 // Thread-safety: a Coordinator is externally synchronized — one query
 // at a time, like QueryEngine::QueryBatchInto. The shard engines and
-// epoch managers must outlive it; each engine is driven only by its
-// dedicated fan-out worker.
+// epoch managers must outlive it; each engine is driven only by the
+// fan-out worker with its shard's index.
 
 #ifndef TOPK_FEDERATE_COORDINATOR_H_
 #define TOPK_FEDERATE_COORDINATOR_H_
@@ -74,11 +77,11 @@
 #include "common/kselect.h"
 #include "common/scratch.h"
 #include "common/weighted.h"
+#include "parallel/worker_pool.h"
 #include "serve/engine.h"
 #include "serve/epoch.h"
 #include "serve/metrics.h"
 #include "serve/result.h"
-#include "serve/thread_pool.h"
 
 namespace topk::federate {
 
@@ -363,11 +366,9 @@ class Coordinator {
   // merge is exact per-shard-snapshot without cross-round stability.
   serve::ResultStatus GatherInto(const Predicate& q, size_t k,
                                  std::vector<Element>* out) {
-    if (healthy_count_ == 0) {
-      return serve::ResultStatus::kDegraded;
-    }
-    if (k == 0) {
-      // Nothing to fetch; trivially complete.
+    if (healthy_count_ == 0 || k == 0) {
+      // Nothing to fetch (no shard to ask, or nothing to ask for); the
+      // empty answer still reports the snapshots it stands for.
       ReadSeqs(&last_seqs_);
       return healthy_count_ < shards_.size()
                  ? serve::ResultStatus::kDegraded
@@ -440,7 +441,7 @@ class Coordinator {
       ++metrics_.stats.rounds;
       // Scatter: worker w drives shard w's engine (and nothing else),
       // so each engine sees one externally-synchronized caller.
-      fanout_.RunOnAll([this](size_t w) {
+      fanout_.RunShards([this](size_t w) {
         if (fetch_[w] != 0) {
           shards_[w].engine->QueryBatchInto(requests_[w], &results_[w]);
         }
@@ -534,8 +535,9 @@ class Coordinator {
 
   std::vector<Shard> shards_;
   Options options_;
-  // One parked worker per shard; RunOnAll is the scatter barrier.
-  serve::ThreadPool fanout_;
+  // Worker w drives shard w (worker 0 = the querying thread); RunShards
+  // is the scatter barrier.
+  parallel::WorkerPool fanout_;
   Scratch scratch_;
   // Per-shard 1-request batches and recycled result slots; worker w
   // touches only requests_[w]/results_[w] during a fan-out.

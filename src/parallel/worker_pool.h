@@ -1,6 +1,7 @@
-// Bounded intra-query worker pool: helper threads for sharding ONE
-// query's dominant loop, as opposed to serve::ThreadPool which spreads
-// many requests across workers.
+// The library's one worker pool: a parallel region whose worker 0 is
+// the calling thread. It runs the serving engine's request workers,
+// the federation coordinator's per-shard fan-out, and the intra-query
+// shards of ONE query's dominant loop.
 //
 // Shape: a WorkerPool of W "shards" owns W-1 parked helper threads; the
 // CALLING thread is always shard 0. RunShards(job) runs job(s) for

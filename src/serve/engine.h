@@ -1,13 +1,16 @@
 // Concurrent batched top-k query engine with graceful degradation.
 //
 // A QueryEngine wraps one shared, already-built, const top-k structure
-// and answers batches of (predicate, k) requests on a fixed thread
-// pool. Workers self-schedule requests off an atomic cursor (no
-// per-task queue, so heterogeneous query costs balance automatically),
-// write results into disjoint slots of the output vector, and charge
-// all accounting to thread-local tallies; the only synchronization on
-// the query path is the cursor's fetch_add. After the batch barrier the
-// tallies are merged into an optional serve::Metrics registry.
+// and answers batches of (predicate, k) requests on a
+// parallel::WorkerPool whose worker 0 is the calling thread: a
+// 1-thread engine serves its batch inline (no hand-off, no thread),
+// and an N-thread engine spawns N-1 parked helpers. Workers
+// self-schedule requests off an atomic cursor (no per-task queue, so
+// heterogeneous query costs balance automatically), write results into
+// disjoint slots of the output vector, and charge all accounting to
+// per-worker tallies; the only synchronization on the query path is
+// the cursor's fetch_add. After the batch barrier the tallies are
+// merged into an optional serve::Metrics registry.
 //
 // Two sources for the served structure (see the two constructors):
 //   * static mode — a caller-owned const structure, pinned for the
@@ -61,12 +64,12 @@
 #include "common/stats.h"
 #include "core/budgeted_query.h"
 #include "parallel/context.h"
+#include "parallel/worker_pool.h"
 #include "serve/epoch.h"
 #include "serve/histogram.h"
 #include "serve/metrics.h"
 #include "serve/result.h"
 #include "serve/shareable.h"
-#include "serve/thread_pool.h"
 #include "trace/chrome_json.h"
 #include "trace/tracer.h"
 
@@ -127,7 +130,7 @@ class QueryEngine {
               Metrics* metrics = nullptr)
       : structure_(structure), metrics_(metrics), max_batch_(options.max_batch),
         slow_query_ns_(options.slow_query_ns), pool_(options.num_threads),
-        tallies_(pool_.num_threads()) {
+        tallies_(pool_.shards()) {
     TOPK_CHECK(structure_ != nullptr);
     Init(options);
   }
@@ -144,13 +147,13 @@ class QueryEngine {
               Metrics* metrics = nullptr)
       : epochs_(epochs), metrics_(metrics), max_batch_(options.max_batch),
         slow_query_ns_(options.slow_query_ns), pool_(options.num_threads),
-        tallies_(pool_.num_threads()) {
+        tallies_(pool_.shards()) {
     TOPK_CHECK(epochs_ != nullptr);
     reader_slot_ = epochs_->RegisterReader();
     Init(options);
   }
 
-  size_t num_threads() const { return pool_.num_threads(); }
+  size_t num_threads() const { return pool_.shards(); }
 
   // Shards each request may split its dominant loop across (1 =
   // serial); reflects the oversubscription clamp, so tests and
@@ -260,13 +263,13 @@ class QueryEngine {
       batch_span.Arg("requests", requests.size());
       batch_span.Arg("admitted", admitted);
       if (epochs_ != nullptr) batch_span.Arg("epoch", last_batch_epoch_);
-      pool_.RunOnAll([&](size_t worker) {
+      pool_.RunShards([&](size_t worker) {
         MetricsSnapshot& tally = tallies_[worker];
         Scratch* scratch = scratches_[worker].get();
         parallel::Context* par =
             contexts_.empty() ? nullptr : contexts_[worker].get();
         // Each worker owns its tracer exclusively for the whole batch;
-        // RunOnAll's barrier publishes the events to the coordinator.
+        // RunShards' barrier publishes the events to the coordinator.
         trace::Tracer* tracer =
             tracers_.empty() ? nullptr : tracers_[worker].get();
         for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -335,7 +338,7 @@ class QueryEngine {
   // Primes EVERY worker's scratch arena by serving each request once on
   // each worker (results discarded, no metrics, no tracing). Batch
   // scheduling is first-come-first-served, so a fast batch can drain
-  // before a parked worker wakes — leaving that worker's arena cold for
+  // before a parked helper wakes — leaving that helper's arena cold for
   // many batches. After Warmup, any request-to-worker assignment of a
   // workload drawn from these requests runs allocation-free (pools are
   // per-element-type, sized to the high-water mark across the set).
@@ -346,7 +349,7 @@ class QueryEngine {
       pin = epochs_->Acquire(reader_slot_);
       structure = pin.get();
     }
-    pool_.RunOnAll([&](size_t worker) {
+    pool_.RunShards([&](size_t worker) {
       Scratch* scratch = scratches_[worker].get();
       parallel::Context* par =
           contexts_.empty() ? nullptr : contexts_[worker].get();
@@ -369,8 +372,8 @@ class QueryEngine {
     // after warm-up every pool sits at its high-water mark and the
     // steady-state query path allocates nothing. unique_ptr: Scratch is
     // non-movable (handles point back at it).
-    scratches_.reserve(pool_.num_threads());
-    for (size_t t = 0; t < pool_.num_threads(); ++t) {
+    scratches_.reserve(num_threads());
+    for (size_t t = 0; t < num_threads(); ++t) {
       scratches_.push_back(std::make_unique<Scratch>());
     }
     // One intra-query Context per worker (so a worker's shard helpers
@@ -381,19 +384,19 @@ class QueryEngine {
     if (shards > 1 && !options.unclamped_intra_query_workers) {
       const size_t hw = std::thread::hardware_concurrency();
       if (hw > 0) {
-        const size_t per_worker = hw / pool_.num_threads();
+        const size_t per_worker = hw / num_threads();
         if (shards > per_worker) shards = per_worker > 1 ? per_worker : 1;
       }
     }
     if (shards > 1) {
-      contexts_.reserve(pool_.num_threads());
-      for (size_t t = 0; t < pool_.num_threads(); ++t) {
+      contexts_.reserve(num_threads());
+      for (size_t t = 0; t < num_threads(); ++t) {
         contexts_.push_back(std::make_unique<parallel::Context>(shards));
       }
     }
     if (options.trace_capacity > 0) {
-      tracers_.reserve(pool_.num_threads() + 1);
-      for (size_t t = 0; t < pool_.num_threads() + 1; ++t) {
+      tracers_.reserve(num_threads() + 1);
+      for (size_t t = 0; t < num_threads() + 1; ++t) {
         tracers_.push_back(
             std::make_unique<trace::Tracer>(options.trace_capacity));
       }
@@ -500,11 +503,12 @@ class QueryEngine {
   // One tracer per worker plus the coordinator's (last); empty when
   // tracing is off. unique_ptr: Tracer is non-movable.
   std::vector<std::unique_ptr<trace::Tracer>> tracers_;
-  ThreadPool pool_;
+  // Worker 0 is whichever thread calls QueryBatchInto / Warmup.
+  parallel::WorkerPool pool_;
   // Per-worker accounting and scratch arenas, recycled across batches
   // (Reset keeps capacity; the arenas never shrink). Worker t touches
   // only tallies_[t] / scratches_[t] during a batch, so neither needs
-  // synchronization beyond RunOnAll's barrier.
+  // synchronization beyond RunShards' barrier.
   // Thread-safety: guarded by the batch barrier (QueryBatchInto is not
   // itself concurrent; see class comment).
   std::vector<MetricsSnapshot> tallies_;

@@ -1,6 +1,6 @@
-// FunctionRef (the ThreadPool dispatch type): lambdas with captures,
+// FunctionRef (the WorkerPool dispatch type): lambdas with captures,
 // plain function pointers, and stateful function objects, standalone
-// and through ThreadPool::RunOnAll.
+// and through WorkerPool::RunShards.
 
 #include <atomic>
 #include <cstddef>
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/function_ref.h"
-#include "serve/thread_pool.h"
+#include "parallel/worker_pool.h"
 
 namespace topk {
 namespace {
@@ -57,11 +57,11 @@ void BumpTarget(size_t) {
   g_pointer_target->fetch_add(1, std::memory_order_relaxed);
 }
 
-TEST(ThreadPool, RunOnAllWithCapturingLambda) {
-  serve::ThreadPool pool(4);
-  std::vector<size_t> seen(pool.num_threads(), 0);
+TEST(WorkerPool, RunShardsWithCapturingLambda) {
+  parallel::WorkerPool pool(4);
+  std::vector<size_t> seen(pool.shards(), 0);
   std::atomic<size_t> total{0};
-  pool.RunOnAll([&](size_t worker) {
+  pool.RunShards([&](size_t worker) {
     seen[worker] = worker + 1;
     total.fetch_add(1, std::memory_order_relaxed);
   });
@@ -69,20 +69,20 @@ TEST(ThreadPool, RunOnAllWithCapturingLambda) {
   for (size_t t = 0; t < seen.size(); ++t) EXPECT_EQ(seen[t], t + 1);
 }
 
-TEST(ThreadPool, RunOnAllWithFunctionPointer) {
-  serve::ThreadPool pool(3);
+TEST(WorkerPool, RunShardsWithFunctionPointer) {
+  parallel::WorkerPool pool(3);
   std::atomic<size_t> count{0};
   g_pointer_target = &count;
-  pool.RunOnAll(&BumpTarget);
+  pool.RunShards(&BumpTarget);
   g_pointer_target = nullptr;
   EXPECT_EQ(count.load(), 3u);
 }
 
-TEST(ThreadPool, BackToBackRegionsReuseWorkers) {
-  serve::ThreadPool pool(2);
+TEST(WorkerPool, BackToBackRegionsReuseHelpers) {
+  parallel::WorkerPool pool(2);
   std::atomic<size_t> count{0};
   for (int round = 0; round < 50; ++round) {
-    pool.RunOnAll(
+    pool.RunShards(
         [&](size_t) { count.fetch_add(1, std::memory_order_relaxed); });
   }
   EXPECT_EQ(count.load(), 100u);

@@ -370,6 +370,36 @@ TEST(Coordinator, AllShardsUnhealthyIsEmptyDegraded) {
   EXPECT_TRUE(out.empty());
 }
 
+// The empty degraded answer still names the snapshots it stands for:
+// a publish that lands before every shard goes unhealthy must show up
+// in last_epoch_seqs(), not the previous answer's seqs.
+TEST(Coordinator, AllShardsUnhealthyReportsCurrentSeqs) {
+  const size_t kShards = 2;
+  std::vector<std::unique_ptr<serve::EpochManager<DynTopK>>> managers;
+  std::vector<std::unique_ptr<serve::QueryEngine<DynTopK>>> engines;
+  std::vector<federate::Coordinator<DynTopK>::Shard> shards;
+  for (size_t s = 0; s < kShards; ++s) {
+    managers.push_back(std::make_unique<serve::EpochManager<DynTopK>>(
+        BuildDyn(ShardPoints(s, 1, 100, 800 + s), 810 + s)));
+    engines.push_back(std::make_unique<serve::QueryEngine<DynTopK>>(
+        managers.back().get(),
+        typename serve::QueryEngine<DynTopK>::Options{}));
+    shards.push_back({engines.back().get(), managers.back().get()});
+  }
+  federate::Coordinator<DynTopK> coord(std::move(shards), {});
+  const Range1D q{0.0, 1.0};
+  std::vector<Point1D> out;
+  ASSERT_EQ(coord.QueryInto(q, 5, &out), serve::ResultStatus::kOk);
+  EXPECT_EQ(coord.last_epoch_seqs(), (std::vector<uint64_t>{1, 1}));
+
+  managers[0]->Publish(BuildDyn(ShardPoints(0, 2, 100, 820), 821));
+  coord.SetShardHealthy(0, false);
+  coord.SetShardHealthy(1, false);
+  EXPECT_EQ(coord.QueryInto(q, 5, &out), serve::ResultStatus::kDegraded);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(coord.last_epoch_seqs(), (std::vector<uint64_t>{2, 1}));
+}
+
 // A shard that degrades ITSELF (cost budget) bounds the merge: the
 // coordinator's truncated answer must be an exact PREFIX of the true
 // global top-k — never reordered, never wrong, just shorter.

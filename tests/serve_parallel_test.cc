@@ -16,12 +16,17 @@
 //
 // Runs under TSan via the tsan preset's `-R serve` sweep — WorkerPool's
 // generation handshake and the shard-private pool slots are the
-// concurrency under test.
+// concurrency under test. The thread-identity pins check that the
+// engine and the federation coordinator run on that one pool with the
+// caller as worker 0.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <limits>
+#include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +41,7 @@
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
 #include "core/sampled_topk.h"
+#include "federate/coordinator.h"
 #include "parallel/context.h"
 #include "parallel/flat_scan.h"
 #include "parallel/worker_pool.h"
@@ -158,6 +164,74 @@ TEST(WorkerPool, SingleShardRunsInline) {
     ++hits;
   });
   EXPECT_EQ(hits, 1);
+}
+
+// --- Thread identity of the serving paths -------------------------------
+
+// A stand-in top-k structure that records which thread served a
+// request of k into ids[k - 1] (a test-local array: requests with
+// distinct k write disjoint slots) and answers empty. With a latch, a
+// request waits until the latch's count of requests is in flight at
+// once, which forces those requests onto distinct workers.
+struct ThreadRecorder {
+  using Element = Point1D;
+  using Predicate = Range1D;
+  std::thread::id* ids = nullptr;
+  std::latch* all_in_flight = nullptr;
+  size_t size() const { return 0; }
+  std::vector<Point1D> Query(const Range1D&, size_t k, QueryStats*) const {
+    ids[k - 1] = std::this_thread::get_id();
+    if (all_in_flight != nullptr) all_in_flight->arrive_and_wait();
+    return {};
+  }
+};
+
+std::vector<serve::Request<Range1D>> OneRequestPerK(size_t n) {
+  std::vector<serve::Request<Range1D>> requests;
+  for (size_t k = 1; k <= n; ++k) requests.push_back({{0.0, 1.0}, k});
+  return requests;
+}
+
+TEST(ServingThreads, OneThreadEngineServesOnTheCaller) {
+  std::thread::id ids[4];
+  const ThreadRecorder recorder{ids};
+  serve::QueryEngine<ThreadRecorder> engine(&recorder, {.num_threads = 1});
+  engine.QueryBatch(OneRequestPerK(4));
+  for (const std::thread::id& id : ids) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ServingThreads, ThreeThreadEngineUsesCallerPlusTwoHelpers) {
+  std::thread::id ids[3];
+  std::latch all_in_flight(3);
+  const ThreadRecorder recorder{ids, &all_in_flight};
+  serve::QueryEngine<ThreadRecorder> engine(&recorder, {.num_threads = 3});
+  engine.QueryBatch(OneRequestPerK(3));
+  const std::set<std::thread::id> distinct(std::begin(ids), std::end(ids));
+  EXPECT_EQ(distinct.size(), 3u);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ServingThreads, CoordinatorRunsShardZeroOnTheCaller) {
+  constexpr size_t kShards = 3;
+  std::thread::id ids[kShards];  // one k = 1 fetch per shard
+  std::vector<ThreadRecorder> recorders;
+  for (size_t s = 0; s < kShards; ++s) recorders.push_back({&ids[s]});
+  std::vector<std::unique_ptr<serve::QueryEngine<ThreadRecorder>>> engines;
+  std::vector<federate::Coordinator<ThreadRecorder>::Shard> shards;
+  for (const ThreadRecorder& r : recorders) {
+    engines.push_back(std::make_unique<serve::QueryEngine<ThreadRecorder>>(
+        &r, serve::QueryEngine<ThreadRecorder>::Options{}));
+    shards.push_back({engines.back().get(), nullptr});
+  }
+  federate::Coordinator<ThreadRecorder> coord(std::move(shards), {});
+  std::vector<Point1D> out;
+  coord.QueryInto(Range1D{0.0, 1.0}, 1, &out);
+  EXPECT_EQ(coord.stats().shard_fetches, kShards);
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  const std::set<std::thread::id> distinct(std::begin(ids), std::end(ids));
+  EXPECT_EQ(distinct.size(), kShards);
 }
 
 // --- FlatScanTopKInto ----------------------------------------------------

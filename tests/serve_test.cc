@@ -31,7 +31,6 @@
 #include "serve/metrics.h"
 #include "serve/result.h"
 #include "serve/shareable.h"
-#include "serve/thread_pool.h"
 #include "test_util.h"
 #include "trace/tracer.h"
 
@@ -218,18 +217,6 @@ TEST(Metrics, AbsorbAccumulates) {
   EXPECT_EQ(total.queries, 30u);
   EXPECT_EQ(total.batches, 3u);
   EXPECT_EQ(total.stats.full_scans, 6u);
-}
-
-// --- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryWorkerEachRegion) {
-  serve::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::vector<int> hits(4, 0);
-  for (int round = 1; round <= 3; ++round) {
-    pool.RunOnAll([&hits](size_t w) { ++hits[w]; });
-    for (int h : hits) EXPECT_EQ(h, round);
-  }
 }
 
 // --- QueryEngine ----------------------------------------------------------

@@ -25,10 +25,10 @@ Checks (see CLAUDE.md conventions):
                line with a reason the reviewer can audit.
   sleep        `sleep_for` / `sleep_until` is banned outside src/fault/
                (simulated latency spikes and retry backoff, off by
-               default) and serve/thread_pool.h — a sleep anywhere else
-               either hides a missing synchronization primitive or
-               wrecks benchmark determinism. Suppress a justified use
-               with `// lint: sleep-ok <reason>`.
+               default) — a sleep anywhere else either hides a missing
+               synchronization primitive or wrecks benchmark
+               determinism. Suppress a justified use with
+               `// lint: sleep-ok <reason>`.
   tracer       a raw `trace::Tracer*` is null whenever tracing is
                disabled (the production default), so dereferencing one
                with `->` outside src/trace/ bypasses the null-safe
@@ -104,8 +104,8 @@ EPOCH_NONMEMBER_RE = re.compile(
 
 
 def sleep_sanctioned(path: Path) -> bool:
-    """The two homes where a real sleep is part of the contract."""
-    return "fault" in path.parts or path.name == "thread_pool.h"
+    """The one home where a real sleep is part of the contract."""
+    return "fault" in path.parts
 
 
 def io_sanctioned(path: Path) -> bool:
@@ -217,10 +217,9 @@ def check_file(path: Path, root: Path, findings: list) -> None:
             report(i, "random", "direct RNG use; draw from topk::Rng "
                                 "(common/random.h) with an explicit seed")
         if not sleep_sanctioned(path) and SLEEP_RE.search(code):
-            report(i, "sleep", "sleep_for/sleep_until outside src/fault/ "
-                               "and serve/thread_pool.h; a sleep hides a "
-                               "missing sync primitive or wrecks benchmark "
-                               "determinism")
+            report(i, "sleep", "sleep_for/sleep_until outside src/fault/; "
+                               "a sleep hides a missing sync primitive or "
+                               "wrecks benchmark determinism")
         if not io_sanctioned(path) and IO_RE.search(code):
             report(i, "io",
                    "raw file I/O outside src/em/; route bytes through "
