@@ -50,7 +50,7 @@ void Run() {
     for (int t = 0; t < trials; ++t) {
       double a = rng.NextDouble(), b = rng.NextDouble();
       if (a > b) std::swap(a, b);
-      benchmark_keep(s.Query({a, b}, 16, &stats));
+      benchmark_keep(topk::Query(s, {a, b}, 16, &stats));
     }
     const auto elapsed = std::chrono::steady_clock::now() - start;
     const double us =

@@ -38,7 +38,7 @@ void RegisterAll() {
               bench::Points2D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<CircularProblem, CircularKdTree, CircularKdTree>>(
@@ -48,7 +48,7 @@ void RegisterAll() {
                              CircularKdTree>(bench::Points2D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<ScanTopK<CircularProblem>>(
         "Scan/" + std::to_string(n), n,
@@ -56,7 +56,7 @@ void RegisterAll() {
           return ScanTopK<CircularProblem>(bench::Points2D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
   }
 }

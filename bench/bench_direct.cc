@@ -46,7 +46,7 @@ void RegisterAll() {
         "Direct_HeapSelect/" + std::to_string(n), n,
         [](size_t m) { return HeapSelectTopK(bench::Points1D(m, 5)); },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>>(
@@ -56,7 +56,7 @@ void RegisterAll() {
               bench::Points1D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<CoreSetTopK<Range1DProblem, PrioritySearchTree>>(
         "Thm1/" + std::to_string(n), n,
@@ -65,7 +65,7 @@ void RegisterAll() {
               bench::Points1D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<BinarySearchTopK<Range1DProblem, PrioritySearchTree>>(
         "Baseline28/" + std::to_string(n), n,
@@ -74,7 +74,7 @@ void RegisterAll() {
               bench::Points1D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
   }
 }

@@ -37,7 +37,7 @@ void RegisterAll() {
               bench::Points3D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<DominanceProblem, DominanceKdTree, DominanceKdTree>>(
@@ -47,7 +47,7 @@ void RegisterAll() {
                              DominanceKdTree>(bench::Points3D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<ScanTopK<DominanceProblem>>(
         "Scan/" + std::to_string(n), n,
@@ -55,7 +55,7 @@ void RegisterAll() {
           return ScanTopK<DominanceProblem>(bench::Points3D(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
   }
 }

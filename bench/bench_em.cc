@@ -115,9 +115,9 @@ Row Measure(size_t block_words) {
                      nullptr);
   });
   row.max = measure([&] { max_struct.QueryMax(query()); });
-  row.thm1 = measure([&] { thm1.Query(query(), 16); });
-  row.thm1_ablated = measure([&] { thm1_ablated.Query(query(), 16); });
-  row.thm2 = measure([&] { thm2.Query(query(), 16); });
+  row.thm1 = measure([&] { topk::Query(thm1, query(), 16); });
+  row.thm1_ablated = measure([&] { topk::Query(thm1_ablated, query(), 16); });
+  row.thm2 = measure([&] { topk::Query(thm2, query(), 16); });
 
   // Scan = read every leaf page once.
   row.scan = static_cast<double>(kN) /

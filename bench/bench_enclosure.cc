@@ -38,7 +38,7 @@ void RegisterAll() {
               bench::Rects(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<EnclosureProblem, EnclosurePrioritized, EnclosureMax>>(
@@ -48,7 +48,7 @@ void RegisterAll() {
                              EnclosureMax>(bench::Rects(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<ScanTopK<EnclosureProblem>>(
         "Scan/" + std::to_string(n), n,
@@ -56,7 +56,7 @@ void RegisterAll() {
           return ScanTopK<EnclosureProblem>(bench::Rects(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
   }
 }

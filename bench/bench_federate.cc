@@ -153,7 +153,7 @@ std::vector<std::vector<uint64_t>> ReferenceAnswers(
   std::vector<std::vector<uint64_t>> reference;
   reference.reserve(work.size());
   for (const Work& w : work) {
-    auto r = whole.Query(w.range, w.k);
+    auto r = topk::Query(whole, w.range, w.k);
     std::vector<uint64_t> ids;
     ids.reserve(r.size());
     for (const auto& e : r) ids.push_back(e.id);

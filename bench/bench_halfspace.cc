@@ -39,7 +39,7 @@ void RegisterAll() {
               bench::PointsHs(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<HalfplaneProblem, HalfspacePrioritized, HalfspaceMax>>(
@@ -49,7 +49,7 @@ void RegisterAll() {
                              HalfspaceMax>(bench::PointsHs(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<ScanTopK<HalfplaneProblem>>(
         "Scan/" + std::to_string(n), n,
@@ -57,7 +57,7 @@ void RegisterAll() {
           return ScanTopK<HalfplaneProblem>(bench::PointsHs(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
   }
 }

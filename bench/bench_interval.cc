@@ -41,7 +41,7 @@ void RegisterAll() {
               bench::Intervals(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(rng->NextDouble(), kK));
+          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
         });
     bench::RegisterLazy<CoreSetTopK<StabProblem, IntervalTreeStab>>(
         "Thm1_IntervalTree/" + std::to_string(n), n,
@@ -50,7 +50,7 @@ void RegisterAll() {
               bench::Intervals(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(rng->NextDouble(), kK));
+          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
         });
     bench::RegisterLazy<
         SampledTopK<StabProblem, SegmentStabbing, SlabStabMax>>(
@@ -60,7 +60,7 @@ void RegisterAll() {
               bench::Intervals(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(rng->NextDouble(), kK));
+          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
         });
     bench::RegisterLazy<ScanTopK<StabProblem>>(
         "Scan/" + std::to_string(n), n,
@@ -68,7 +68,7 @@ void RegisterAll() {
           return ScanTopK<StabProblem>(bench::Intervals(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(rng->NextDouble(), kK));
+          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
         });
   }
 }

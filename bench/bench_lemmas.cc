@@ -113,7 +113,7 @@ void FallbackTable() {
       double a = rng.NextDouble(), b = rng.NextDouble();
       if (a > b) std::swap(a, b);
       const size_t k = 1 + static_cast<size_t>(rng.Below(256));
-      s.Query({a, b}, k, &stats);
+      topk::Query(s, {a, b}, k, &stats);
     }
     std::printf("%16.2f %10zu %12llu %11.3f%%\n", scale, s.f(),
                 static_cast<unsigned long long>(stats.fallbacks),

@@ -109,7 +109,7 @@ void RunStructure(const char* name, const S& structure,
   std::vector<std::vector<uint64_t>> reference;
   reference.reserve(requests.size());
   for (const auto& r : requests) {
-    auto answer = structure.Query(r.predicate, r.k);
+    auto answer = topk::Query(structure, r.predicate, r.k);
     std::vector<uint64_t> ids;
     ids.reserve(answer.size());
     for (const auto& e : answer) ids.push_back(e.id);

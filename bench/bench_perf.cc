@@ -1,6 +1,6 @@
-// E24 — zero-allocation steady-state query path: the compatibility
-// Query() entry points (each call owns a throwaway Scratch and returns
-// a fresh vector, "alloc") against the warm scratch path QueryInto()
+// E24 — zero-allocation steady-state query path: the free topk::Query()
+// convenience (each call owns a throwaway Scratch and returns a fresh
+// vector, "alloc") against the warm scratch path QueryInto()
 // reusing one arena and one output buffer across queries ("scratch"),
 // for all four reductions; plus the serving engine's QueryBatch
 // (fresh result vectors per call) against a warm QueryBatchInto
@@ -112,7 +112,7 @@ SweepResult SweepAlloc(const S& s, const std::vector<Range1D>& qs, size_t k) {
   const auto t0 = std::chrono::steady_clock::now();
   for (const Range1D& q : qs) {
     QueryStats stats;
-    auto got = s.Query(q, k, &stats);
+    auto got = topk::Query(s, q, k, &stats);
     benchmark::DoNotOptimize(got);
   }
   const auto t1 = std::chrono::steady_clock::now();

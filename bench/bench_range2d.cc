@@ -56,7 +56,7 @@ void RegisterAll() {
               Points(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<
         SampledTopK<Range2DProblem, RangeTreePrioritized, RangeTreeMax>>(
@@ -66,13 +66,13 @@ void RegisterAll() {
                              RangeTreeMax>(Points(m, 5));
         },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     bench::RegisterLazy<ScanTopK<Range2DProblem>>(
         "Scan/" + std::to_string(n), n,
         [](size_t m) { return ScanTopK<Range2DProblem>(Points(m, 5)); },
         [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.Query(Q(rng), kK));
+          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
         });
     // The Section 2 counting reduction, on the 1D specialization
     // (counting structures are problem-specific; 1D has an exact one).
@@ -85,7 +85,7 @@ void RegisterAll() {
         [](const auto& s, Rng* rng) {
           double a = rng->NextDouble(), b = rng->NextDouble();
           if (a > b) std::swap(a, b);
-          benchmark::DoNotOptimize(s.Query({a, b}, kK));
+          benchmark::DoNotOptimize(topk::Query(s, {a, b}, kK));
         });
   }
 }

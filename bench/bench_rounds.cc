@@ -35,7 +35,7 @@ void Run() {
       double a = rng.NextDouble(), b = rng.NextDouble();
       if (a > b) std::swap(a, b);
       QueryStats stats;
-      s.Query({a, b}, k, &stats);
+      topk::Query(s, {a, b}, k, &stats);
       const uint64_t r = stats.rounds;
       total += r;
       max_rounds = std::max(max_rounds, r);

@@ -41,7 +41,7 @@ double MicrosPerQuery(const S& s, double width, Rng* rng) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kQueries; ++i) {
     const double a = rng->NextDouble() * (1.0 - width);
-    auto r = s.Query(Range1D{a, a + width}, kK);
+    auto r = topk::Query(s, Range1D{a, a + width}, kK);
     asm volatile("" : : "g"(&r) : "memory");
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;

@@ -78,7 +78,7 @@ void RunStructure(const char* name, const S& structure,
   std::vector<std::vector<uint64_t>> reference;
   reference.reserve(requests.size());
   for (const Work& w : work) {
-    auto r = structure.Query(w.range, w.k);
+    auto r = topk::Query(structure, w.range, w.k);
     std::vector<uint64_t> ids;
     ids.reserve(r.size());
     for (const auto& e : r) ids.push_back(e.id);

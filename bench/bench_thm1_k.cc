@@ -43,7 +43,7 @@ void BM_Thm1CoreSet_K(benchmark::State& state) {
   Rng rng(7);
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomWideQuery(&rng), k, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, RandomWideQuery(&rng), k, &stats));
   }
   state.counters["k"] = static_cast<double>(k);
   state.counters["emitted/query"] =
@@ -60,7 +60,7 @@ void BM_Thm1Baseline_K(benchmark::State& state) {
   Rng rng(7);
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomWideQuery(&rng), k, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, RandomWideQuery(&rng), k, &stats));
   }
   state.counters["k"] = static_cast<double>(k);
   state.counters["emitted/query"] =

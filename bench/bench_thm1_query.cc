@@ -45,7 +45,7 @@ void BM_Thm1CoreSet(benchmark::State& state) {
   Rng rng(99);
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomQuery(&rng), kK, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK, &stats));
   }
   state.counters["nodes/query"] =
       static_cast<double>(stats.nodes_visited) /
@@ -63,7 +63,7 @@ void BM_Thm1BinarySearchBaseline(benchmark::State& state) {
   Rng rng(99);
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomQuery(&rng), kK, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK, &stats));
   }
   state.counters["nodes/query"] =
       static_cast<double>(stats.nodes_visited) /
@@ -79,7 +79,7 @@ void BM_Thm1Scan(benchmark::State& state) {
   });
   Rng rng(99);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomQuery(&rng), kK));
+    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK));
   }
   state.counters["n"] = static_cast<double>(n);
 }

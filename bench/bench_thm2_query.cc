@@ -45,7 +45,7 @@ void BM_Thm2_N(benchmark::State& state) {
   Rng rng(42);
   QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.Query(RandomQuery(&rng), 16, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), 16, &stats));
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["rounds/query"] =
@@ -63,7 +63,7 @@ void BM_Thm2_K(benchmark::State& state) {
   QueryStats stats;
   for (auto _ : state) {
     const double a = rng.NextDouble() * 0.25;
-    benchmark::DoNotOptimize(s.Query({a, a + 0.7}, k, &stats));
+    benchmark::DoNotOptimize(topk::Query(s, {a, a + 0.7}, k, &stats));
   }
   state.counters["k"] = static_cast<double>(k);
   state.counters["rounds/query"] =
@@ -81,7 +81,7 @@ void BM_Thm1_K_Reference(benchmark::State& state) {
   Rng rng(42);
   for (auto _ : state) {
     const double a = rng.NextDouble() * 0.25;
-    benchmark::DoNotOptimize(s.Query({a, a + 0.7}, k));
+    benchmark::DoNotOptimize(topk::Query(s, {a, a + 0.7}, k));
   }
   state.counters["k"] = static_cast<double>(k);
 }

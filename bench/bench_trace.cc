@@ -65,7 +65,7 @@ double Sweep(const S& s, const std::vector<Range1D>& qs, size_t k,
   const auto t0 = std::chrono::steady_clock::now();
   for (const Range1D& q : qs) {
     QueryStats stats;
-    auto got = s.Query(q, k, &stats, tracer);
+    auto got = topk::Query(s, q, k, &stats, tracer);
     benchmark::DoNotOptimize(got);
     if (tracer != nullptr) {
       *events += tracer->events().size();

@@ -54,7 +54,7 @@ void BM_QueryAfterChurn(benchmark::State& state) {
   for (auto _ : state) {
     double a = rng.NextDouble(), b = rng.NextDouble();
     if (a > b) std::swap(a, b);
-    benchmark::DoNotOptimize(topk.Query({a, b}, 10));
+    benchmark::DoNotOptimize(topk::Query(topk, {a, b}, 10));
   }
   state.counters["n"] = static_cast<double>(n);
 }

@@ -42,7 +42,7 @@ int main() {
   for (const Seeker s : {Seeker{29, 171}, Seeker{45, 182}, Seeker{21, 160}}) {
     std::printf("\nTop 10 salaries among members whose preferences admit "
                 "age %.0f, height %.0fcm:\n", s.age, s.height);
-    auto top = site.Query(Point2{s.age, s.height}, 10);
+    auto top = topk::Query(site, Point2{s.age, s.height}, 10);
     for (const Rect& r : top) {
       std::printf("  member %-7llu salary $%7.0f   ages [%4.1f, %4.1f]  "
                   "heights [%5.1f, %5.1f]\n",

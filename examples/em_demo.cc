@@ -63,7 +63,7 @@ int main() {
   const Range1D q{0.4, 0.6};
   pool.FlushAll();
   disk.ResetCounters();
-  auto top = topk_index.Query(q, 10);
+  auto top = topk::Query(topk_index, q, 10);
   std::printf("\ntop-10 in [%.1f, %.1f] cost %llu page I/Os "
               "(a scan would be %zu):\n",
               q.lo, q.hi,

@@ -62,7 +62,7 @@ int main() {
         "security >= %.1f:\n",
         ask.max_price, ask.max_distance, ask.min_security);
     const Point3 q{ask.max_price, ask.max_distance, -ask.min_security, 0, 0};
-    auto top = finder.Query(q, 10);
+    auto top = topk::Query(finder, q, 10);
     if (top.empty()) {
       std::printf("  (no hotel qualifies)\n");
       continue;

@@ -43,7 +43,7 @@ int main() {
   };
   for (const Viewport& v : views) {
     topk::QueryStats stats;
-    auto top = index.Query(Rect2{v.x1, v.x2, v.y1, v.y2}, 5, &stats);
+    auto top = topk::Query(index, Rect2{v.x1, v.x2, v.y1, v.y2}, 5, &stats);
     std::printf("\nTop 5 POIs in %s:\n", v.label);
     for (const WPoint2D& p : top) {
       std::printf("  poi %-7llu popularity %8.0f at (%.2f, %.2f)\n",

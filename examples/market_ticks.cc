@@ -39,7 +39,7 @@ int main() {
 
   for (double t : {1800.0, 3.25 * 3600, day - 600}) {
     std::printf("\nAt t=%.0fs, the 5 highest-priced active orders:\n", t);
-    for (const Interval& o : book.Query(t, 5)) {
+    for (const Interval& o : topk::Query(book, t, 5)) {
       std::printf("  order %-7llu $%.4f  active [%.1fs, %.1fs]\n",
                   static_cast<unsigned long long>(o.id), o.weight, o.lo,
                   o.hi);

@@ -48,7 +48,7 @@ int main() {
 
   topk::QueryStats stats;
   std::printf("  CoreSetTopK (Thm 1):");
-  for (const Point1D& p : thm1.Query(q, 5, &stats)) {
+  for (const Point1D& p : topk::Query(thm1, q, 5, &stats)) {
     std::printf("  %.5f", p.weight);
   }
   std::printf("\n    (%llu structure nodes, %llu prioritized queries, "
@@ -59,7 +59,7 @@ int main() {
 
   stats.Reset();
   std::printf("  SampledTopK (Thm 2):");
-  for (const Point1D& p : thm2.Query(q, 5, &stats)) {
+  for (const Point1D& p : topk::Query(thm2, q, 5, &stats)) {
     std::printf("  %.5f", p.weight);
   }
   std::printf("\n    (%llu structure nodes, %llu rounds)\n",
@@ -70,6 +70,6 @@ int main() {
   const Range1D narrow{0.5, 0.500005};
   std::printf("  narrow range [%.6f, %.6f] asking for 100:", narrow.lo,
               narrow.hi);
-  std::printf(" got %zu matches\n", thm2.Query(narrow, 100).size());
+  std::printf(" got %zu matches\n", topk::Query(thm2, narrow, 100).size());
   return 0;
 }

@@ -2,19 +2,20 @@
 //
 // The reductions are I/O-optimal but, naively implemented, every query
 // heap-allocates fresh candidate pools (MonitoredQuery collections,
-// k-selection buffers, BudgetedTopK stage results). A Scratch owns
+// k-selection buffers, heap-selection frontiers). A Scratch owns
 // growable, NEVER-shrinking pools of element vectors; a query borrows a
 // pool via Borrow<E>(), fills it, and the ScratchVec RAII handle
 // returns the buffer — capacity intact — when it goes out of scope.
 // After a warm-up query has grown every pool to its high-water mark,
 // subsequent queries over the same structure perform zero heap
 // allocations (asserted by tests/alloc_regression_test.cc through a
-// warm serve::QueryEngine for all four reductions).
+// warm serve::QueryEngine for all four reductions and the scan and
+// heap-selection structures).
 //
 // Ownership contract (see DESIGN.md "scratch memory contract"):
 //   * a Scratch is owned by exactly one thread at a time — one per
-//     QueryEngine worker, or one on the stack of a compatibility
-//     Query() call. It is NOT thread-safe; never share one across
+//     QueryEngine worker, or one on the stack of a topk::Query
+//     convenience call. It is NOT thread-safe; never share one across
 //     concurrent queries.
 //   * every ScratchVec must be destroyed (or moved into one that is)
 //     before its Scratch: the handle holds a pointer back to the owner.
@@ -22,7 +23,7 @@
 //     would-be dangling pointer into a loud failure.
 //   * pools never shrink: the arena's capacity is the high-water mark
 //     of any query served so far. Callers that must bound memory build
-//     a fresh Scratch (the compatibility overloads do exactly that).
+//     a fresh Scratch (topk::Query does exactly that).
 //
 // Under -DTOPK_AUDIT the per-pool borrow ledger is additionally
 // checked on every return (a Return without a matching Borrow — the

@@ -20,7 +20,6 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,18 +50,14 @@ namespace topk {
 // Intra-query parallelism: the O(log n) probes are budgeted (budget k)
 // and stay serial, but the final fetch is un-budgeted (budget n + 1, a
 // degenerate full fetch) and runs through the sharded flat kernel when
-// the caller supplies a mirror + context AND names the Problem
-// explicitly (BinarySearchTopKQueryInto<Problem>(...)); the default
-// Problem = void keeps legacy call sites serial and deduction-friendly.
-template <typename Problem = void, typename Pri, typename Predicate,
-          typename Element = typename Pri::Element>
+// the caller supplies a mirror (nullable) and a context.
+template <typename Problem, typename Pri,
+          typename Element = typename Problem::Element>
 void BinarySearchTopKQueryInto(
     const Pri& pri, const std::vector<double>& weights_desc,
-    const Predicate& q, size_t k, Scratch* scratch,
-    std::vector<Element>* out, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr,
-    [[maybe_unused]] const parallel::FlatMirror<Element>* mirror = nullptr,
-    [[maybe_unused]] parallel::Context* par = nullptr) {
+    const typename Problem::Predicate& q, size_t k, Scratch* scratch,
+    std::vector<Element>* out, QueryStats* stats, trace::Tracer* tracer,
+    const parallel::FlatMirror<Element>* mirror, parallel::Context* par) {
   out->clear();
   if (k == 0 || weights_desc.empty()) return;
   if (k > weights_desc.size()) k = weights_desc.size();
@@ -90,33 +85,16 @@ void BinarySearchTopKQueryInto(
   const double tau = (lo < weights_desc.size())
                          ? weights_desc[lo]
                          : -std::numeric_limits<double>::infinity();
-  if constexpr (!std::is_void_v<Problem>) {
-    if (mirror != nullptr &&
-        parallel::ShouldShard(par, pri.size(), pri.size() + 1)) {
-      ShardedFetchInto<Problem>(*mirror, q, tau, k, par, scratch, out,
-                                stats, tracer);
-      return;
-    }
+  if (mirror != nullptr &&
+      parallel::ShouldShard(par, pri.size(), pri.size() + 1)) {
+    ShardedFetchInto<Problem>(*mirror, q, tau, k, par, scratch, out, stats,
+                              tracer);
+    return;
   }
   MonitoredPool<Element> fin =
       MonitoredQuery(pri, q, tau, pri.size() + 1, scratch, stats, tracer);
   SelectTopK(&fin.elements, k);
   out->assign(fin.elements.begin(), fin.elements.end());
-}
-
-// Value-returning compatibility form (owns a throwaway Scratch; may
-// allocate).
-template <typename Pri, typename Predicate,
-          typename Element = typename Pri::Element>
-std::vector<Element> BinarySearchTopKQuery(
-    const Pri& pri, const std::vector<double>& weights_desc,
-    const Predicate& q, size_t k, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr) {
-  std::vector<Element> result;
-  Scratch scratch;
-  BinarySearchTopKQueryInto(pri, weights_desc, q, k, &scratch, &result,
-                            stats, tracer);
-  return result;
 }
 
 // Self-contained baseline structure: owns the prioritized structure and
@@ -138,15 +116,10 @@ class BinarySearchTopK {
 
   size_t size() const { return pri_.size(); }
 
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    return BinarySearchTopKQuery(pri_, weights_desc_, q, k, stats, tracer);
-  }
-
-  // Scratch-threaded form: zero allocations once `scratch` and *out are
-  // warm (the serving engine's steady-state path). `par` shards the
-  // final un-budgeted fetch; probes stay serial.
+  // The k heaviest elements of q(D), heaviest first, into *out: zero
+  // allocations once `scratch` and *out are warm (the serving engine's
+  // steady-state path). `par` shards the final un-budgeted fetch;
+  // probes stay serial.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* tracer = nullptr,

@@ -3,7 +3,7 @@
 //
 // The paper's reductions never run unbounded work: Theorem 1 replaces
 // counting with prioritized queries that stop at a budget (core/sink.h's
-// MonitoredQuery). BudgetedTopK lifts the same idea one level up, to
+// MonitoredQuery). BudgetedTopKInto lifts the same idea one level up, to
 // whole top-k queries: answer top-k' for k' = 1, 2, 4, ... doubling
 // toward k, consulting a stop predicate between stages. Because every
 // result is sorted heaviest-first under the strict (weight, id) order,
@@ -33,17 +33,10 @@
 
 namespace topk {
 
-template <typename E>
-struct BudgetedResult {
-  // Heaviest-first. A prefix of the true top-k when complete is false;
-  // the full top-k when complete is true.
-  std::vector<E> elements;
-  bool complete = false;
-  size_t stages = 0;  // top-k' queries issued
-};
-
-// Outcome of the in-place form: the elements live in the caller's
-// vector, so only the verdict travels back.
+// Outcome of a staged run: the elements live in the caller's vector
+// (heaviest-first; a prefix of the true top-k when complete is false,
+// the full top-k when complete is true), so only the verdict travels
+// back.
 struct BudgetedRun {
   bool complete = false;
   size_t stages = 0;  // top-k' queries issued
@@ -53,11 +46,11 @@ struct BudgetedRun {
 // (k' reached k, or the structure ran out of matches) or should_stop()
 // returns true between stages, writing each stage's answer into *out —
 // ONE buffer reused across the whole doubling ladder (and, when the
-// caller recycles it, across requests). should_stop is any callable
-// examining external state — a cost tally, a deadline clock, a
-// cancellation flag. Structures that implement the scratch-threaded
-// QueryInto are served allocation-free; plain TopKStructures fall back
-// to move-assigning their freshly built result.
+// caller recycles it, across requests), so a warm arena and a warm *out
+// serve the run allocation-free. should_stop is any callable examining
+// external state — a cost tally, a deadline clock, a cancellation flag.
+// Stages run serially (par = null): staged doubling issues budgeted,
+// never degenerate, fetches, so there is nothing to shard.
 template <typename S, typename StopFn>
   requires TopKStructure<S>
 BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
@@ -78,24 +71,9 @@ BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
   for (;;) {
     ++run.stages;
     {
-      // The TopKStructure concept only guarantees Query(q, kp, stats);
-      // prefer the scratch-threaded QueryInto when the structure has
-      // one, and pass the tracer through when it is accepted.
       trace::Span stage(tracer, "budgeted_stage", stats);
       stage.Arg("kp", kp);
-      if constexpr (requires {
-                      s.QueryInto(q, kp, scratch, out, stats, tracer);
-                    }) {
-        s.QueryInto(q, kp, scratch, out, stats, tracer);
-      } else if constexpr (requires {
-                             s.QueryInto(q, kp, scratch, out, stats);
-                           }) {
-        s.QueryInto(q, kp, scratch, out, stats);
-      } else if constexpr (requires { s.Query(q, kp, stats, tracer); }) {
-        *out = s.Query(q, kp, stats, tracer);
-      } else {
-        *out = s.Query(q, kp, stats);
-      }
+      s.QueryInto(q, kp, scratch, out, stats, tracer, nullptr);
     }
     if (kp >= k || out->size() < kp) {
       // Either the full k was answered or the structure has fewer than
@@ -111,25 +89,6 @@ BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
     }
     kp = std::min(k, kp * 2);
   }
-}
-
-// Value-returning compatibility form: owns a throwaway Scratch, so each
-// call may allocate (first-touch pool growth plus the returned vector).
-// The serving engine uses BudgetedTopKInto with its per-worker arena.
-template <typename S, typename StopFn>
-  requires TopKStructure<S>
-BudgetedResult<typename S::Element> BudgetedTopK(
-    const S& s, const typename S::Predicate& q, size_t k,
-    StopFn&& should_stop, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr) {
-  BudgetedResult<typename S::Element> out;
-  Scratch scratch;
-  const BudgetedRun run =
-      BudgetedTopKInto(s, q, k, should_stop, &scratch, &out.elements,
-                       stats, tracer);
-  out.complete = run.complete;
-  out.stages = run.stages;
-  return out;
 }
 
 }  // namespace topk

@@ -128,22 +128,12 @@ class CoreSetTopK {
     }
   }
 
-  // The k heaviest elements of q(D), heaviest first (all of q(D) when
-  // |q(D)| < k). Exact for every input and every random draw.
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats, tracer);
-    return result;
-  }
-
-  // Scratch-threaded form writing into *out (cleared first): every
-  // candidate pool across the small-k chain, the large-k ladder, the
-  // full scan, and the binary-search fallback lives in a buffer
-  // borrowed from `scratch`, so a warm arena and a warm *out serve the
-  // query with zero heap allocations. `par` (nullable) shards the
+  // The k heaviest elements of q(D), heaviest first, into *out (cleared
+  // first; all of q(D) when |q(D)| < k). Exact for every input and every
+  // random draw. Every candidate pool across the small-k chain, the
+  // large-k ladder, the full scan, and the binary-search fallback lives
+  // in a buffer borrowed from `scratch`, so a warm arena and a warm *out
+  // serve the query with zero heap allocations. `par` (nullable) shards the
   // degenerate monitored fetches — the full scan, an unreachable probe
   // budget, the oversized ladder fetch, and the chain's level walks —
   // across intra-query workers; results are bit-identical either way.

@@ -1,22 +1,25 @@
 // The counting-based reduction of Section 2 (Rahul–Janardan, improved
-// as described by the paper): top-k from a reporting structure plus a
-// (c-approximate or exact) counting structure.
+// as described by the paper): top-k from a reporting structure plus an
+// EXACT counting structure.
 //
 // Query: binary-search the global sorted weight list for the largest
 // threshold tau* whose count is >= k (O(log n) counting queries), then
-// one prioritized fetch at tau* plus k-selection. With an exact counter
-// the fetch returns between k and the count at the next weight step; a
-// c-approximate counter inflates the fetch by at most a factor c (we
-// terminate the binary search on count in [k, c*k] and cap the fetch).
+// one prioritized fetch at tau* plus k-selection; the fetch returns
+// between k and the count at the next weight step.
 //
-// Cost: O(Q_cnt(n) * log n + Q_rep(n) + c*k/B). Space:
-// O(S_rep + S_cnt). Implemented as the paper's second baseline: the
-// section-2 reduction carries a log n multiplier on the counting term
-// that Theorems 1 and 2 eliminate.
+// Cost: O(Q_cnt(n) * log n + Q_rep(n) + k/B). Space: O(S_rep + S_cnt).
+// Implemented as the paper's second baseline: the section-2 reduction
+// carries a log n multiplier on the counting term that Theorems 1 and 2
+// eliminate.
 //
-// Counter contract:
-//   size_t Count(q, tau, stats)   — returns a value in
-//                                   [|exact|, c*|exact|] for fixed c>=1.
+// Counter contract (core/problem.h CounterStructure):
+//   size_t Count(q, tau, stats)   — returns exactly
+//                                   |{e in q(D) : w(e) >= tau}|.
+// The paper also admits c-approximate counters (Count in
+// [|exact|, c*|exact|]) by terminating the search on a count in
+// [k, c*k]; that termination is not implemented, and with an
+// overcounting counter the search above would stop early and return
+// fewer than k elements.
 
 #ifndef TOPK_CORE_COUNTING_TOPK_H_
 #define TOPK_CORE_COUNTING_TOPK_H_
@@ -36,6 +39,7 @@
 #include "core/sink.h"
 #include "parallel/context.h"
 #include "parallel/flat_scan.h"
+#include "trace/tracer.h"
 
 namespace topk {
 
@@ -56,23 +60,16 @@ class CountingTopK {
 
   size_t size() const { return n_; }
 
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats);
-    return result;
-  }
-
-  // Scratch-threaded form writing into *out (cleared first): the final
-  // fetch pool is borrowed from `scratch`, so a warm arena and a warm
-  // *out serve the query with zero heap allocations (the binary search
-  // itself only issues counting probes). The counting probes stay
-  // serial (they are the cheap O(Q_cnt log n) head); the final tally
-  // fetch is un-budgeted (n + 1, always degenerate) and runs sharded
-  // when `par` is present.
+  // The k heaviest elements of q(D), heaviest first, into *out (cleared
+  // first): the final fetch pool is borrowed from `scratch`, so a warm
+  // arena and a warm *out serve the query with zero heap allocations
+  // (the binary search itself only issues counting probes). The
+  // counting probes stay serial (they are the cheap O(Q_cnt log n)
+  // head); the final tally fetch is un-budgeted (n + 1, always
+  // degenerate) and runs sharded when `par` is present.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
+                 trace::Tracer* tracer = nullptr,
                  parallel::Context* par = nullptr) const {
     out->clear();
     if (k == 0 || n_ == 0) return;
@@ -95,11 +92,11 @@ class CountingTopK {
                                                  : kNegInf;
     if (mirror_.has_value() && parallel::ShouldShard(par, n_, n_ + 1)) {
       ShardedFetchInto<Problem>(*mirror_, q, tau, k, par, scratch, out,
-                                stats, /*tracer=*/nullptr);
+                                stats, tracer);
       return;
     }
     MonitoredPool<Element> fetched =
-        MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats);
+        MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats, tracer);
     SelectTopK(&fetched.elements, k);
     out->assign(fetched.elements.begin(), fetched.elements.end());
   }

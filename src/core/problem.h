@@ -33,9 +33,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/scratch.h"
 #include "common/stats.h"
 
 namespace topk {
+
+namespace trace {
+class Tracer;
+}  // namespace trace
+namespace parallel {
+class Context;
+}  // namespace parallel
 
 template <typename P>
 concept ProblemDef = requires(const typename P::Predicate& q,
@@ -118,10 +126,13 @@ concept DynamicStructure =
 
 // COUNTER structure contract (the Section 2 counting reduction).
 //
-// Semantics: Count(q, tau, stats) returns a value in
-// [|exact|, c * |exact|] for a fixed approximation factor c >= 1, where
-// exact = {e in q(D) : w(e) >= tau}; an exact counter has c = 1. Counts
-// must be monotone in tau (lower tau never shrinks the count).
+// Semantics: Count(q, tau, stats) returns EXACTLY
+// |{e in q(D) : w(e) >= tau}| (an exact counter, c = 1), monotone in
+// tau (lower tau never shrinks the count). CountingTopK fetches at the
+// first threshold whose count reaches k, so an overcounting
+// (c-approximate) counter would stop early and return fewer than k
+// elements; supporting c > 1 needs the [k, c*k] search termination the
+// paper describes, which is not implemented.
 template <typename C, typename P>
 concept CounterStructure =
     ProblemDef<P> &&
@@ -133,29 +144,42 @@ concept CounterStructure =
 
 // TOP-K structure contract (what the reductions produce and the serving
 // layer consumes; see serve/shareable.h for the thread-shareable
-// refinement).
+// refinement). There is exactly one top-k entry point:
 //
-// Semantics: Query(q, k, stats) returns the min(k, |q(D)|) heaviest
+//   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
+//                  std::vector<Element>* out, QueryStats* stats,
+//                  trace::Tracer* tracer, parallel::Context* par) const;
+//
+// stats, tracer and par are nullable (null = not charged / not traced /
+// serial). Every temporary pool is borrowed from `scratch`, so a warm
+// arena and a warm *out serve the query with zero heap allocations.
+//
+// Semantics: *out is cleared, then receives the min(k, |q(D)|) heaviest
 // elements of q(D) sorted heaviest-first under (weight, id) — callers
 // (tests, the serving layer, TopKToPrioritized) rely on exact,
 // descending results.
 template <typename S>
 concept TopKStructure =
-    requires(const S& s, const typename S::Predicate& q, QueryStats* stats) {
-      typename S::Element;
+    requires(const S& s, const typename S::Predicate& q, Scratch* scratch,
+             std::vector<typename S::Element>* out, QueryStats* stats,
+             trace::Tracer* tracer, parallel::Context* par) {
       { s.size() } -> std::convertible_to<size_t>;
-      { s.Query(q, size_t{1}, stats) } ->
-          std::convertible_to<std::vector<typename S::Element>>;
+      s.QueryInto(q, size_t{1}, scratch, out, stats, tracer, par);
     };
 
-// As TopKStructure, additionally pinning the structure to a problem's
-// element/predicate types (used where a reduction hands a top-k
-// structure to problem-typed code).
-template <typename S, typename P>
-concept TopKStructureFor =
-    ProblemDef<P> && TopKStructure<S> &&
-    std::same_as<typename S::Element, typename P::Element> &&
-    std::same_as<typename S::Predicate, typename P::Predicate>;
+// The one convenience form: owns a throwaway Scratch and returns the
+// answer by value (so it may allocate). For tests, benches, examples
+// and one-off callers; serving paths call QueryInto with a warm arena.
+template <TopKStructure S>
+std::vector<typename S::Element> Query(const S& s,
+                                       const typename S::Predicate& q,
+                                       size_t k, QueryStats* stats = nullptr,
+                                       trace::Tracer* tracer = nullptr) {
+  std::vector<typename S::Element> out;
+  Scratch scratch;
+  s.QueryInto(q, k, &scratch, &out, stats, tracer, nullptr);
+  return out;
+}
 
 // FACTORY contract (core/factory.h): builds a structure of type S from a
 // vector of elements. The reductions sample sets themselves (core-set

@@ -170,18 +170,8 @@ class SampledTopK {
     }
   }
 
-  // The k heaviest elements of q(D), heaviest first. Exact always;
-  // expected cost O(Q_pri + Q_max + k/B).
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats, tracer);
-    return result;
-  }
-
-  // Scratch-threaded form writing into *out (cleared first): every
+  // The k heaviest elements of q(D), heaviest first, into *out (cleared
+  // first). Exact always; expected cost O(Q_pri + Q_max + k/B). Every
   // round's probe and fetch pool is borrowed from `scratch` and
   // recycled, so a warm arena and a warm *out serve the query with zero
   // heap allocations.

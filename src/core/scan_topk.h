@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/kselect.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/problem.h"
 
@@ -27,17 +28,22 @@ class ScanTopK {
 
   size_t size() const { return data_.size(); }
 
-  // The k heaviest elements of q(D), heaviest first.
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr) const {
+  // The k heaviest elements of q(D), heaviest first, into *out (cleared
+  // first). The matches are collected straight into *out, so a warm
+  // *out serves the query with zero heap allocations; `scratch`,
+  // `tracer` and `par` are unused (there is nothing to borrow, trace or
+  // shard beyond the one pass).
+  void QueryInto(const Predicate& q, size_t k, Scratch* /*scratch*/,
+                 std::vector<Element>* out, QueryStats* stats = nullptr,
+                 trace::Tracer* /*tracer*/ = nullptr,
+                 parallel::Context* /*par*/ = nullptr) const {
     AddNodes(stats, data_.size());
     if (stats != nullptr) ++stats->full_scans;
-    std::vector<Element> pool;
+    out->clear();
     for (const Element& e : data_) {
-      if (Problem::Matches(q, e)) pool.push_back(e);
+      if (Problem::Matches(q, e)) out->push_back(e);
     }
-    SelectTopK(&pool, k);
-    return pool;
+    SelectTopK(out, k);
   }
 
  private:

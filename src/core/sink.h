@@ -57,19 +57,23 @@ void IssuePrioritized(const S& s, const Pred& q, double tau, Emit&& emit,
   AddEmitted(stats, emitted);
 }
 
+// A monitored query's result: a pool borrowed from a Scratch (the
+// buffer, capacity included, goes back to the arena when the
+// ScratchVec dies) plus the budget verdict.
 template <typename E>
-struct MonitoredResult {
+struct MonitoredPool {
   // Elements fetched, in structure emission order. When hit_budget is
   // false this is the complete set {e in q(D) : w(e) >= tau}; when true
   // it is an arbitrary budget-sized subset of it (the query was cut off).
-  std::vector<E> elements;
+  ScratchVec<E> elements;
   bool hit_budget = false;
 };
 
 // Runs a budget-monitored prioritized query: collects at most `budget`
-// elements. Typical use per the paper: budget = 4K + 1 proves
-// |{w >= tau} cap q(D)| > 4K whenever hit_budget is true. The span
-// records the budget and whether it was hit.
+// elements into a pool borrowed from `scratch`. Typical use per the
+// paper: budget = 4K + 1 proves |{w >= tau} cap q(D)| > 4K whenever
+// hit_budget is true. The span records the budget and whether it was
+// hit.
 //
 // Charges issuance itself instead of delegating to IssuePrioritized:
 // the forwarding layer that counting through a wrapped emit adds sits
@@ -78,44 +82,6 @@ struct MonitoredResult {
 // budget cut-off element is collected anyway, so collected == emitted
 // and the counters are identical either way (pinned by
 // tests/stats_accounting_test.cc).
-template <typename S, typename Pred, typename E = typename S::Element>
-MonitoredResult<E> MonitoredQuery(const S& s, const Pred& q, double tau,
-                                  size_t budget, QueryStats* stats,
-                                  trace::Tracer* tracer = nullptr) {
-  trace::Span span(tracer, "monitored_query", stats);
-  span.Arg("budget", budget);
-  MonitoredResult<E> out;
-  if (budget == 0) {
-    out.hit_budget = true;
-    span.Arg("hit_budget", 1);
-    return out;
-  }
-  out.elements.reserve(budget < 1024 ? budget : 1024);
-  if (stats != nullptr) ++stats->prioritized_queries;
-  s.QueryPrioritized(
-      q, tau,
-      [&out, budget](const E& e) {
-        out.elements.push_back(e);
-        return out.elements.size() < budget;
-      },
-      stats);
-  AddEmitted(stats, out.elements.size());
-  out.hit_budget = out.elements.size() >= budget;
-  span.Arg("hit_budget", out.hit_budget ? 1 : 0);
-  return out;
-}
-
-// MonitoredQuery collecting into a pool borrowed from `scratch` instead
-// of a freshly allocated vector: the zero-allocation serving path.
-// Identical semantics and identical accounting to the allocating form
-// above; the buffer (capacity included) goes back to the arena when the
-// result's ScratchVec dies.
-template <typename E>
-struct MonitoredPool {
-  ScratchVec<E> elements;  // structure emission order, as above
-  bool hit_budget = false;
-};
-
 template <typename S, typename Pred, typename E = typename S::Element>
 MonitoredPool<E> MonitoredQuery(const S& s, const Pred& q, double tau,
                                 size_t budget, Scratch* scratch,

@@ -133,18 +133,6 @@ class TopFChain {
     return QueryLevel(0, q, scratch, stats, tracer, par);
   }
 
-  // Compatibility form owning a throwaway Scratch (tests and one-off
-  // callers; may allocate).
-  std::optional<std::vector<Element>> QueryTopF(
-      const Predicate& q, QueryStats* stats,
-      trace::Tracer* tracer = nullptr) const {
-    Scratch scratch;
-    std::optional<ScratchVec<Element>> top =
-        QueryTopF(q, &scratch, stats, tracer);
-    if (!top.has_value()) return std::nullopt;
-    return std::vector<Element>(top->begin(), top->end());
-  }
-
  private:
   struct Level {
     Pri pri;

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "common/weighted.h"
 #include "core/problem.h"
@@ -24,8 +25,8 @@
 
 namespace topk {
 
-// Wraps any top-k structure (anything with Query(q, k, stats) returning
-// descending-weight vectors) as a prioritized structure.
+// Wraps any top-k structure (core/problem.h TopKStructure: QueryInto
+// writes descending-weight answers) as a prioritized structure.
 template <TopKStructure TopK>
 class TopKToPrioritized {
  public:
@@ -40,7 +41,8 @@ class TopKToPrioritized {
 
   // Charges nothing itself (issuance is charged by the caller through
   // IssuePrioritized — see core/sink.h); the inner top-k queries charge
-  // their own structural work through `stats` as usual.
+  // their own structural work through `stats` as usual. One Scratch and
+  // one answer buffer serve the whole doubling ladder.
   template <typename Emit>
   void QueryPrioritized(const Predicate& q, double tau, Emit&& emit,
                         QueryStats* stats = nullptr,
@@ -48,8 +50,10 @@ class TopKToPrioritized {
     trace::Span span(tracer, "reverse_doubling", stats);
     uint64_t doublings = 0;
     size_t k = initial_k_;
+    Scratch scratch;
+    std::vector<Element> top;
     while (true) {
-      std::vector<Element> top = InnerQuery(q, k, stats, tracer);
+      topk_.QueryInto(q, k, &scratch, &top, stats, tracer, nullptr);
       const bool exhausted = top.size() < k;
       const bool past_tau =
           !top.empty() && !MeetsThreshold(top.back(), tau);
@@ -68,18 +72,6 @@ class TopKToPrioritized {
   }
 
  private:
-  // The TopKStructure concept only guarantees Query(q, k, stats); pass
-  // the tracer through when the wrapped structure accepts one.
-  std::vector<Element> InnerQuery(const Predicate& q, size_t k,
-                                  QueryStats* stats,
-                                  trace::Tracer* tracer) const {
-    if constexpr (requires { topk_.Query(q, k, stats, tracer); }) {
-      return topk_.Query(q, k, stats, tracer);
-    } else {
-      return topk_.Query(q, k, stats);
-    }
-  }
-
   TopK topk_;
   size_t initial_k_;
 };

@@ -56,7 +56,7 @@ class FallibleTopK {
                                 QueryStats* stats = nullptr) const {
     pool_->ConsumeIoFailure();  // shed stale state from other callers
     FallibleResult<Element> result;
-    result.elements = inner_->Query(q, k, stats);
+    result.elements = topk::Query(*inner_, q, k, stats);
     result.io_failed = pool_->ConsumeIoFailure();
     return result;
   }

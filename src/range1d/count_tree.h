@@ -7,8 +7,8 @@
 // O(log^2 n) time, O(n log n) space.
 //
 // This powers the counting-based reduction of the paper's Section 2
-// (Rahul–Janardan): an *exact* counter is a valid approximate counter
-// with c = 1.
+// (Rahul–Janardan), whose counter contract (core/problem.h
+// CounterStructure) requires an exact count.
 
 #ifndef TOPK_RANGE1D_COUNT_TREE_H_
 #define TOPK_RANGE1D_COUNT_TREE_H_

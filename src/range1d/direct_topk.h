@@ -17,14 +17,16 @@
 #ifndef TOPK_RANGE1D_DIRECT_TOPK_H_
 #define TOPK_RANGE1D_DIRECT_TOPK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "common/weighted.h"
+#include "core/problem.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 
@@ -40,32 +42,43 @@ class HeapSelectTopK {
 
   size_t size() const { return pst_.size(); }
 
-  // The k heaviest points with x in [q.lo, q.hi], heaviest first.
-  std::vector<Point1D> Query(const Range1D& q, size_t k,
-                             QueryStats* stats = nullptr) const {
-    std::vector<Point1D> result;
-    if (k == 0 || pst_.size() == 0 || q.lo > q.hi) return result;
-    result.reserve(k < 1024 ? k : 1024);
+  // The k heaviest points with x in [q.lo, q.hi], heaviest first, into
+  // *out (cleared first). The frontier is a max-heap (by weight) over a
+  // pool borrowed from `scratch`, driven by std::push_heap/pop_heap —
+  // exactly the calls std::priority_queue is specified as — so a warm
+  // arena and a warm *out serve the query with zero heap allocations.
+  // `tracer` and `par` are unused.
+  void QueryInto(const Range1D& q, size_t k, Scratch* scratch,
+                 std::vector<Point1D>* out, QueryStats* stats = nullptr,
+                 trace::Tracer* /*tracer*/ = nullptr,
+                 parallel::Context* /*par*/ = nullptr) const {
+    out->clear();
+    if (k == 0 || pst_.size() == 0 || q.lo > q.hi) return;
+    out->reserve(k < 1024 ? k : 1024);
 
     auto lighter = [this](int32_t a, int32_t b) {
       return HeavierThan(pst_.node_point(b), pst_.node_point(a));
     };
-    std::priority_queue<int32_t, std::vector<int32_t>, decltype(lighter)>
-        frontier(lighter);
-    frontier.push(pst_.root());
-    while (!frontier.empty() && result.size() < k) {
-      const int32_t v = frontier.top();
-      frontier.pop();
+    ScratchVec<int32_t> pool = scratch->Borrow<int32_t>();
+    std::vector<int32_t>& frontier = pool.vec();
+    auto push = [&frontier, &lighter](int32_t v) {
+      frontier.push_back(v);
+      std::push_heap(frontier.begin(), frontier.end(), lighter);
+    };
+    push(pst_.root());
+    while (!frontier.empty() && out->size() < k) {
+      std::pop_heap(frontier.begin(), frontier.end(), lighter);
+      const int32_t v = frontier.back();
+      frontier.pop_back();
       AddNodes(stats, 1);
       const Point1D& p = pst_.node_point(v);
-      if (Range1DProblem::Matches(q, p)) result.push_back(p);
+      if (Range1DProblem::Matches(q, p)) out->push_back(p);
       const double split = pst_.node_xsplit(v);
       const int32_t l = pst_.node_left(v);
       const int32_t r = pst_.node_right(v);
-      if (l != PrioritySearchTree::kNil && q.lo <= split) frontier.push(l);
-      if (r != PrioritySearchTree::kNil && q.hi >= split) frontier.push(r);
+      if (l != PrioritySearchTree::kNil && q.lo <= split) push(l);
+      if (r != PrioritySearchTree::kNil && q.hi >= split) push(r);
     }
-    return result;
   }
 
  private:

@@ -42,7 +42,7 @@
 // ShareableTopKStructure — const-queryable with no hidden mutable
 // state. EM-backed structures fail that concept (their BufferPool is
 // single-threaded mutable state) and are rejected at compile time.
-// Results are bitwise-identical to single-threaded Query calls: the
+// Results are bitwise-identical to single-threaded QueryInto calls: the
 // structures are deterministic at query time, so only the interleaving
 // of *accounting* differs — and QueryStats addition is commutative.
 
@@ -83,7 +83,7 @@ struct Request {
   size_t k = 1;
   // Degradation knobs; 0 disables either. cost_budget is in QueryStats
   // work units (QueryStats::work); deadline_ns is wall-clock time from
-  // batch start. A request with neither runs the plain single Query.
+  // batch start. A request with neither runs one plain QueryInto.
   uint64_t cost_budget = 0;
   uint64_t deadline_ns = 0;
 };
@@ -417,8 +417,8 @@ class QueryEngine {
       return;
     }
     if (r.cost_budget == 0 && !has_deadline) {
-      StructureQueryInto(structure, r.predicate, r.k, scratch, par,
-                         &slot->elements, stats, tracer);
+      structure->QueryInto(r.predicate, r.k, scratch, &slot->elements,
+                           stats, tracer, par);
       slot->status = ResultStatus::kOk;
       return;
     }
@@ -447,46 +447,6 @@ class QueryEngine {
         BudgetedTopKInto(*structure, r.predicate, r.k, should_stop,
                          scratch, &slot->elements, stats, tracer);
     slot->status = run.complete ? ResultStatus::kOk : stop_reason;
-  }
-
-  // The ShareableTopKStructure concept only guarantees Query(q, k,
-  // stats); prefer the scratch-threaded QueryInto when the structure
-  // has one, passing the intra-query Context and the tracer through
-  // when they are accepted (the cost-budgeted path above never gets a
-  // Context: staged doubling re-issues budgeted — never degenerate —
-  // fetches, so there is nothing to shard).
-  void StructureQueryInto(const Structure* structure, const Predicate& q,
-                          size_t k, Scratch* scratch,
-                          parallel::Context* par,
-                          std::vector<Element>* out, QueryStats* stats,
-                          trace::Tracer* tracer) const {
-    if constexpr (requires {
-                    structure->QueryInto(q, k, scratch, out, stats,
-                                         tracer, par);
-                  }) {
-      structure->QueryInto(q, k, scratch, out, stats, tracer, par);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats, par);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats, par);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats, tracer);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats, tracer);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats);
-    } else if constexpr (requires {
-                           structure->Query(q, k, stats, tracer);
-                         }) {
-      *out = structure->Query(q, k, stats, tracer);
-    } else {
-      *out = structure->Query(q, k, stats);
-    }
   }
 
   // Exactly one of structure_ (static mode, lifetime-pinned) and

@@ -2,7 +2,7 @@
 // worker threads?
 //
 // Every static structure in the repo is const-queryable with no hidden
-// mutable state, so concurrent Query calls on one instance are safe —
+// mutable state, so concurrent QueryInto calls on one instance are safe —
 // EXCEPT the external-memory structures: even a read-only EM query
 // mutates its BufferPool (LRU list, frames, hit/miss and I/O counters),
 // which is deliberately single-threaded state. Those are rejected here
@@ -30,10 +30,7 @@
 #define TOPK_SERVE_SHAREABLE_H_
 
 #include <concepts>
-#include <cstddef>
-#include <vector>
 
-#include "common/stats.h"
 #include "core/problem.h"
 
 namespace topk::serve {
@@ -78,17 +75,11 @@ consteval bool DeclaresUnshareableQuery() {
   return false;
 }
 
-// Any top-k structure: const-queryable `Query(q, k, stats)` returning
-// the k heaviest matches. The canonical contract lives in
-// core/problem.h; this re-export keeps the serve:: spelling stable.
-template <typename S>
-concept TopKStructure = ::topk::TopKStructure<S>;
-
-// A top-k structure whose const queries are safe to issue from many
-// threads against one shared instance.
+// A top-k structure (core/problem.h) whose const queries are safe to
+// issue from many threads against one shared instance.
 template <typename S>
 concept ShareableTopKStructure =
-    TopKStructure<S> && !UsesExternalMemory<S>() &&
+    ::topk::TopKStructure<S> && !UsesExternalMemory<S>() &&
     !DeclaresUnshareableQuery<S>();
 
 }  // namespace topk::serve

@@ -1,7 +1,8 @@
 // Zero-allocation steady state: once a QueryEngine's per-worker scratch
 // arenas and recycled result slots are warm, serving a batch performs
-// ZERO heap allocations — for all four reductions, on both the plain
-// and the cost-budgeted (BudgetedTopKInto) paths. Counted by replacing
+// ZERO heap allocations — for all four reductions and the scan and
+// heap-selection structures, on both the plain and the cost-budgeted
+// (BudgetedTopKInto) paths. Counted by replacing
 // the global operator new/delete in this TU; any allocation anywhere in
 // the process during the measured window fails the test, so the
 // assertion covers the engine, the reductions, the substrates, and the
@@ -26,10 +27,12 @@
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
 #include "core/sampled_topk.h"
+#include "core/scan_topk.h"
 #include "federate/coordinator.h"
 #include "federate/shard_map.h"
 #include "parallel/flat_scan.h"
 #include "range1d/count_tree.h"
+#include "range1d/direct_topk.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -281,6 +284,19 @@ TEST(AllocRegression, CountingTopKZeroSteadyStateAllocs) {
   ExpectZeroAllocSteadyStateThreaded(s);
 }
 
+// The non-reduction structures answer through the same QueryInto: the
+// scan collects straight into the recycled slot and the heap selection
+// borrows its frontier from the worker's arena.
+TEST(AllocRegression, ScanAndHeapSelectZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  const ScanTopK<Range1DProblem> scan(Data());
+  ExpectZeroAllocSteadyState(scan);
+  ExpectZeroAllocSteadyStateThreaded(scan);
+  const range1d::HeapSelectTopK heap(Data());
+  ExpectZeroAllocSteadyState(heap);
+  ExpectZeroAllocSteadyStateThreaded(heap);
+}
+
 // Sharded-kernel data: big enough for every mirror to engage.
 std::vector<Point1D> ShardableData(size_t n = 5000) {
   Rng rng(4321);
@@ -475,10 +491,10 @@ TEST(AllocRegression, FederatedFanoutAndCacheHitZeroSteadyStateAllocs) {
   }
 }
 
-// The compatibility Query() overloads own a throwaway Scratch — they
-// may allocate, but must return bit-identical answers to the scratch
-// path (the engine results are checked against brute force above; this
-// pins the two entry points to each other directly).
+// The free topk::Query convenience owns a throwaway Scratch — it may
+// allocate, but must return bit-identical answers to the scratch path
+// (the engine results are checked against brute force above; this pins
+// the two entry points to each other directly).
 TEST(AllocRegression, CompatQueryMatchesScratchPath) {
   const std::vector<Point1D> data = Data();
   Thm1 s(data);
@@ -492,7 +508,7 @@ TEST(AllocRegression, CompatQueryMatchesScratchPath) {
     const Range1D q{lo, hi};
     const size_t k = 1 + static_cast<size_t>(i) % 40;
     s.QueryInto(q, k, &scratch, &out);
-    EXPECT_EQ(test::IdsOf(out), test::IdsOf(s.Query(q, k)));
+    EXPECT_EQ(test::IdsOf(out), test::IdsOf(topk::Query(s, q, k)));
   }
   EXPECT_EQ(scratch.outstanding(), 0u);
 }

@@ -114,8 +114,8 @@ TEST(AuditWrappers, ReductionsRunExactOverCheckedSubstrates) {
     if (lo > hi) std::swap(lo, hi);
     for (size_t k : {size_t{1}, size_t{30}, size_t{800}, size_t{4000}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {lo, hi}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({lo, hi}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, {lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, {lo, hi}, k)), test::IdsOf(want));
     }
   }
 }

@@ -27,20 +27,20 @@ using Baseline = BinarySearchTopK<Range1DProblem, PrioritySearchTree>;
 
 TEST(BinarySearchTopK, EmptyInput) {
   Baseline b({});
-  EXPECT_TRUE(b.Query({0, 1}, 3).empty());
+  EXPECT_TRUE(topk::Query(b, {0, 1}, 3).empty());
 }
 
 TEST(BinarySearchTopK, KZero) {
   Rng rng(1);
   Baseline b(test::RandomPoints1D(64, &rng));
-  EXPECT_TRUE(b.Query({0, 1}, 0).empty());
+  EXPECT_TRUE(topk::Query(b, {0, 1}, 0).empty());
 }
 
 TEST(BinarySearchTopK, ProbesAreLogarithmic) {
   Rng rng(2);
   Baseline b(test::RandomPoints1D(1 << 14, &rng));
   QueryStats stats;
-  b.Query({0.0, 1.0}, 10, &stats);
+  topk::Query(b, {0.0, 1.0}, 10, &stats);
   // log2(2^14) = 14 probes + 1 final fetch, with slack.
   EXPECT_LE(stats.prioritized_queries, 20u);
 }
@@ -67,7 +67,7 @@ TEST_P(BaselineSweep, MatchesBruteForce) {
     if (a > c) std::swap(a, c);
     for (size_t k : {size_t{1}, size_t{5}, size_t{100}, p.n / 2, p.n}) {
       if (k == 0) continue;
-      auto got = b.Query({a, c}, k);
+      auto got = topk::Query(b, {a, c}, k);
       auto want = test::BruteTopK<Range1DProblem>(data, {a, c}, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
           << "n=" << p.n << " k=" << k << " clumped=" << p.clumped;

@@ -162,7 +162,7 @@ TEST(EnclosureMaxCascading, WorksUnderSampledTopK) {
     const Point2 q{rng.NextDouble(), rng.NextDouble()};
     for (size_t k : {size_t{1}, size_t{20}, size_t{300}}) {
       auto want = test::BruteTopK<EnclosureProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want));
     }
   }
 }

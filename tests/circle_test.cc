@@ -115,8 +115,8 @@ TEST(Circular, BothReductionsMatchBrute) {
                  0.2 + rng.NextDouble() * 0.6};
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}, size_t{4000}}) {
       auto want = test::BruteTopK<CircularProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want));
     }
   }
 }

@@ -1,5 +1,7 @@
 // Cross-cutting properties of the core framework:
-//   * the structure concepts accept every shipped structure;
+//   * the structure concepts accept every shipped structure (and the one
+//     top-k signature rejects the retired value-only and counting-tail
+//     shapes);
 //   * MonitoredQuery budget semantics at exact boundaries;
 //   * determinism: same data + seed => identical structures and answers;
 //   * emission-order independence: the reductions stay exact over a
@@ -19,12 +21,14 @@
 #include "audit/checked_prioritized.h"
 #include "circle/circular.h"
 #include "common/random.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
 #include "core/problem.h"
 #include "core/sampled_topk.h"
+#include "core/scan_topk.h"
 #include "core/sink.h"
 #include "dominance/point3.h"
 #include "enclosure/enclosure_structures.h"
@@ -33,6 +37,7 @@
 #include "interval/seg_stab.h"
 #include "interval/stab_max.h"
 #include "range1d/count_tree.h"
+#include "range1d/direct_topk.h"
 #include "range1d/dyn_pst.h"
 #include "range1d/dyn_range_max.h"
 #include "range1d/pst.h"
@@ -186,10 +191,52 @@ static_assert(requires {
                         range1d::CountTree>::CounterStructure;
 });
 
+// --- The one top-k signature ----------------------------------------------
+// Every shipped top-k structure implements exactly
+//   QueryInto(q, k, scratch, out, stats, tracer, par)
+// — the static and dynamic reductions, the scan baseline, and the direct
+// heap-selection structure.
+
+static_assert(
+    TopKStructure<CoreSetTopK<Range1DProblem, PrioritySearchTree>>);
+static_assert(TopKStructure<
+              SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>>);
+static_assert(TopKStructure<SampledTopK<Range1DProblem, range1d::DynamicPst,
+                                        range1d::DynamicRangeMax>>);
+static_assert(
+    TopKStructure<BinarySearchTopK<Range1DProblem, PrioritySearchTree>>);
+static_assert(TopKStructure<CountingTopK<Range1DProblem, PrioritySearchTree,
+                                         range1d::CountTree>>);
+static_assert(TopKStructure<ScanTopK<Range1DProblem>>);
+static_assert(TopKStructure<range1d::HeapSelectTopK>);
+
+// A value-only Query with no scratch-threaded entry point is not a
+// top-k structure: the serving layer could not answer into a warm slot.
+struct BrokenValueOnlyQuery {
+  using Element = Point1D;
+  using Predicate = Range1D;
+  size_t size() const { return 0; }
+  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
+    return {};
+  }
+};
+static_assert(!TopKStructure<BrokenValueOnlyQuery>);
+
+// The old counting tail (..., stats, par) without the tracer slot is a
+// different signature, not a variant the concept tolerates.
+struct BrokenCountingTail {
+  using Element = Point1D;
+  using Predicate = Range1D;
+  size_t size() const { return 0; }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, parallel::Context*) const {}
+};
+static_assert(!TopKStructure<BrokenCountingTail>);
+
 // --- Thread-shareability gate (serve/shareable.h) ------------------------
 
-// A memoizing top-k structure: Query is const but caches the last answer
-// in a mutable member — correct single-threaded, a data race under the
+// A memoizing top-k structure: QueryInto is const but caches the last
+// answer in a mutable member — correct single-threaded, a data race under the
 // engine. Its mutable query state is declared via the kThreadSafeQuery
 // marker and the gate rejects it. (The *undeclared* variant — a mutable
 // member with no marker — is exactly what tools/lint.py's mutable-member
@@ -203,18 +250,18 @@ class MemoizedTopK {
   explicit MemoizedTopK(std::vector<Point1D> data)
       : data_(std::move(data)) {}
   size_t size() const { return data_.size(); }
-  std::vector<Point1D> Query(const Range1D& q, size_t k,
-                             QueryStats* stats = nullptr) const {
-    (void)stats;
+  void QueryInto(const Range1D& q, size_t k, Scratch*,
+                 std::vector<Point1D>* out, QueryStats*, trace::Tracer*,
+                 parallel::Context*) const {
     cache_ = test::BruteTopK<Range1DProblem>(data_, q, k);
-    return cache_;
+    *out = cache_;
   }
 
  private:
   std::vector<Point1D> data_;
   mutable std::vector<Point1D> cache_;  // lint: mutable-ok (marker above)
 };
-static_assert(serve::TopKStructure<MemoizedTopK>);
+static_assert(TopKStructure<MemoizedTopK>);
 static_assert(!serve::ShareableTopKStructure<MemoizedTopK>);
 
 // A leaf with the EM marker is rejected outright...
@@ -223,10 +270,12 @@ struct FakeEmTopK {
   using Predicate = Range1D;
   static constexpr bool kExternalMemory = true;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*, parallel::Context*) const {}
 };
+// Each fake models TopKStructure, so the gate's rejection is the
+// posture marker's doing, not a signature mismatch.
+static_assert(TopKStructure<FakeEmTopK>);
 static_assert(!serve::ShareableTopKStructure<FakeEmTopK>);
 
 // ...and the gate recurses through an exported substrate alias.
@@ -235,10 +284,10 @@ struct WrapsFakeEm {
   using Predicate = Range1D;
   using Prioritized = FakeEmTopK;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*, parallel::Context*) const {}
 };
+static_assert(TopKStructure<WrapsFakeEm>);
 static_assert(!serve::ShareableTopKStructure<WrapsFakeEm>);
 
 // The same wrapper WITHOUT the alias would sail through — the gate
@@ -249,9 +298,8 @@ struct HidesFakeEm {
   using Element = Point1D;
   using Predicate = Range1D;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*, parallel::Context*) const {}
  private:
   [[maybe_unused]] FakeEmTopK hidden_;
 };
@@ -270,19 +318,20 @@ TEST(MonitoredQuery, BudgetBoundaries) {
   std::vector<Point1D> data = test::RandomPoints1D(100, &rng);
   PrioritySearchTree pst(data);
   const Range1D all{0.0, 1.0};
+  Scratch scratch;
 
-  auto r0 = MonitoredQuery(pst, all, kNegInf, 0, nullptr);
+  auto r0 = MonitoredQuery(pst, all, kNegInf, 0, &scratch, nullptr);
   EXPECT_TRUE(r0.hit_budget);
   EXPECT_TRUE(r0.elements.empty());
 
   // budget == |result|: every element is fetched but the budget is hit,
   // so the caller cannot distinguish completeness — exactly the paper's
   // "4K+1" idiom requires one extra slot.
-  auto r100 = MonitoredQuery(pst, all, kNegInf, 100, nullptr);
+  auto r100 = MonitoredQuery(pst, all, kNegInf, 100, &scratch, nullptr);
   EXPECT_TRUE(r100.hit_budget);
   EXPECT_EQ(r100.elements.size(), 100u);
 
-  auto r101 = MonitoredQuery(pst, all, kNegInf, 101, nullptr);
+  auto r101 = MonitoredQuery(pst, all, kNegInf, 101, &scratch, nullptr);
   EXPECT_FALSE(r101.hit_budget);
   EXPECT_EQ(r101.elements.size(), 100u);
 }
@@ -291,7 +340,8 @@ TEST(MonitoredQuery, ChargesStats) {
   Rng rng(2);
   PrioritySearchTree pst(test::RandomPoints1D(100, &rng));
   QueryStats stats;
-  MonitoredQuery(pst, Range1D{0.0, 1.0}, kNegInf, 50, &stats);
+  Scratch scratch;
+  MonitoredQuery(pst, Range1D{0.0, 1.0}, kNegInf, 50, &scratch, &stats);
   EXPECT_EQ(stats.prioritized_queries, 1u);
   EXPECT_EQ(stats.elements_emitted, 50u);
   EXPECT_GT(stats.nodes_visited, 0u);
@@ -312,8 +362,8 @@ TEST(Determinism, SameSeedSameAnswersAndStats) {
     double lo = rng.NextDouble(), hi = rng.NextDouble();
     if (lo > hi) std::swap(lo, hi);
     QueryStats sa, sb;
-    auto ra = a.Query({lo, hi}, 25, &sa);
-    auto rb = b.Query({lo, hi}, 25, &sb);
+    auto ra = topk::Query(a, {lo, hi}, 25, &sa);
+    auto rb = topk::Query(b, {lo, hi}, 25, &sb);
     EXPECT_EQ(test::IdsOf(ra), test::IdsOf(rb));
     EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
     EXPECT_EQ(sa.fallbacks, sb.fallbacks);
@@ -327,7 +377,7 @@ TEST(Determinism, DifferentSeedsStillExact) {
     ReductionOptions opts;
     opts.seed = seed;
     SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax> s(data, opts);
-    auto got = s.Query({0.1, 0.9}, 40);
+    auto got = topk::Query(s, {0.1, 0.9}, 40);
     auto want = test::BruteTopK<Range1DProblem>(data, {0.1, 0.9}, 40);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want)) << "seed=" << seed;
   }
@@ -386,11 +436,11 @@ TEST(EmissionOrder, ReductionsExactOverAscendingEmitter) {
     if (lo > hi) std::swap(lo, hi);
     for (size_t k : {size_t{1}, size_t{20}, size_t{500}, size_t{8000}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {lo, hi}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({lo, hi}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({lo, hi}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(baseline.Query({lo, hi}, k)),
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, {lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, {lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(baseline, {lo, hi}, k)),
                 test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(counting.Query({lo, hi}, k)),
+      ASSERT_EQ(test::IdsOf(topk::Query(counting, {lo, hi}, k)),
                 test::IdsOf(want));
     }
   }
@@ -411,9 +461,9 @@ TEST(OutputOrder, AlwaysHeaviestFirst) {
   };
   for (int trial = 0; trial < 10; ++trial) {
     const double lo = rng.NextDouble() * 5000, hi = lo + 2000;
-    check_sorted(thm1.Query({lo, hi}, 100));
-    check_sorted(thm2.Query({lo, hi}, 100));
-    check_sorted(base.Query({lo, hi}, 100));
+    check_sorted(topk::Query(thm1, {lo, hi}, 100));
+    check_sorted(topk::Query(thm2, {lo, hi}, 100));
+    check_sorted(topk::Query(base, {lo, hi}, 100));
   }
 }
 

@@ -31,20 +31,20 @@ using TopK = CoreSetTopK<Range1DProblem,
 
 TEST(CoreSetTopK, EmptyInput) {
   TopK topk({});
-  EXPECT_TRUE(topk.Query({0, 1}, 5).empty());
+  EXPECT_TRUE(topk::Query(topk, {0, 1}, 5).empty());
 }
 
 TEST(CoreSetTopK, KZero) {
   Rng rng(1);
   TopK topk(test::RandomPoints1D(100, &rng));
-  EXPECT_TRUE(topk.Query({0, 1}, 0).empty());
+  EXPECT_TRUE(topk::Query(topk, {0, 1}, 0).empty());
 }
 
 TEST(CoreSetTopK, EmptyPredicate) {
   Rng rng(2);
   TopK topk(test::RandomPoints1D(100, &rng));
-  EXPECT_TRUE(topk.Query({2.0, 3.0}, 5).empty());
-  EXPECT_TRUE(topk.Query({0.7, 0.2}, 5).empty());  // inverted
+  EXPECT_TRUE(topk::Query(topk, {2.0, 3.0}, 5).empty());
+  EXPECT_TRUE(topk::Query(topk, {0.7, 0.2}, 5).empty());  // inverted
 }
 
 TEST(CoreSetTopK, KBeyondMatchCountReturnsAllMatches) {
@@ -52,7 +52,7 @@ TEST(CoreSetTopK, KBeyondMatchCountReturnsAllMatches) {
   std::vector<Point1D> data = test::RandomPoints1D(200, &rng);
   TopK topk(data);
   const Range1D q{0.4, 0.6};
-  auto got = topk.Query(q, 10'000);
+  auto got = topk::Query(topk, q, 10'000);
   auto want = test::BruteTopK<Range1DProblem>(data, q, 10'000);
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
 }
@@ -70,7 +70,7 @@ TEST(CoreSetTopK, StatsAreCharged) {
   std::vector<Point1D> data = test::RandomPoints1D(2000, &rng);
   TopK topk(data);
   QueryStats stats;
-  topk.Query({0.0, 1.0}, 3, &stats);
+  topk::Query(topk, {0.0, 1.0}, 3, &stats);
   EXPECT_GT(stats.prioritized_queries, 0u);
   EXPECT_GT(stats.nodes_visited, 0u);
 }
@@ -110,7 +110,7 @@ TEST_P(CoreSetSweep, MatchesBruteForceAcrossKRegimes) {
     const Range1D q{a, b};
     for (size_t k : ks) {
       if (k == 0) continue;
-      auto got = topk.Query(q, k);
+      auto got = topk::Query(topk, q, k);
       auto want = test::BruteTopK<Range1DProblem>(data, q, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
           << "n=" << p.n << " k=" << k << " scale=" << p.scale
@@ -145,7 +145,7 @@ TEST(CoreSetTopK, UnluckySamplesFallBackAndStayExact) {
     double b = rng.NextDouble();
     if (a > b) std::swap(a, b);
     const size_t k = 1 + static_cast<size_t>(rng.Below(200));
-    auto got = topk.Query({a, b}, k, &stats);
+    auto got = topk::Query(topk, {a, b}, k, &stats);
     auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
     ASSERT_EQ(test::IdsOf(got), test::IdsOf(want));
   }

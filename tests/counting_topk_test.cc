@@ -83,10 +83,10 @@ using Baseline =
 
 TEST(CountingTopK, EmptyAndKZero) {
   Baseline b({});
-  EXPECT_TRUE(b.Query({0, 1}, 3).empty());
+  EXPECT_TRUE(topk::Query(b, {0, 1}, 3).empty());
   Rng rng(6);
   Baseline b2(test::RandomPoints1D(64, &rng));
-  EXPECT_TRUE(b2.Query({0, 1}, 0).empty());
+  EXPECT_TRUE(topk::Query(b2, {0, 1}, 0).empty());
 }
 
 TEST(CountingTopK, MatchesBruteForce) {
@@ -98,7 +98,7 @@ TEST(CountingTopK, MatchesBruteForce) {
       double a = rng.NextDouble(), c = rng.NextDouble();
       if (a > c) std::swap(a, c);
       for (size_t k : {size_t{1}, size_t{7}, size_t{200}, n}) {
-        auto got = b.Query({a, c}, k);
+        auto got = topk::Query(b, {a, c}, k);
         auto want = test::BruteTopK<Range1DProblem>(data, {a, c}, k);
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "n=" << n << " k=" << k;
@@ -112,7 +112,7 @@ TEST(CountingTopK, DuplicateWeights) {
   std::vector<Point1D> data = test::ClumpedPoints1D(2000, &rng);
   Baseline b(data);
   for (size_t k : {size_t{1}, size_t{50}, size_t{2000}}) {
-    auto got = b.Query({0.0, 2000.0}, k);
+    auto got = topk::Query(b, {0.0, 2000.0}, k);
     auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 2000.0}, k);
     ASSERT_EQ(test::IdsOf(got), test::IdsOf(want));
   }
@@ -122,7 +122,7 @@ TEST(CountingTopK, CountProbesAreLogarithmic) {
   Rng rng(9);
   Baseline b(test::RandomPoints1D(1 << 14, &rng));
   QueryStats stats;
-  b.Query({0.0, 1.0}, 10, &stats);
+  topk::Query(b, {0.0, 1.0}, 10, &stats);
   EXPECT_LE(stats.max_queries, 20u);  // ~log2(n) counting probes
 }
 

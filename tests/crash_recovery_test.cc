@@ -431,7 +431,7 @@ TEST(CrashRecovery, ColdStartServesRecoveredStateExactly) {
     if (a > b) std::swap(a, b);
     const size_t k = 1 + static_cast<size_t>(trial) % 7;
     const Range1D q{a, b};
-    ASSERT_EQ(test::IdsOf(pin.get()->Query(q, k)),
+    ASSERT_EQ(test::IdsOf(topk::Query(*pin.get(), q, k)),
               test::IdsOf(test::BruteTopK<Range1DProblem>(recovered, q, k)))
         << "trial " << trial;
   }

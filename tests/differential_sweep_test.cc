@@ -73,15 +73,17 @@ TEST_P(SeedSweep, AllRange1DImplementationsAgree) {
       if (k == 0) continue;
       auto want = test::BruteTopK<Range1DProblem>(data, q, k);
       const auto want_ids = test::IdsOf(want);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), want_ids) << "thm1";
-      ASSERT_EQ(test::IdsOf(thm2_static.Query(q, k)), want_ids)
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), want_ids) << "thm1";
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2_static, q, k)), want_ids)
           << "thm2_static";
-      ASSERT_EQ(test::IdsOf(thm2_dynamic.Query(q, k)), want_ids)
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2_dynamic, q, k)), want_ids)
           << "thm2_dynamic";
-      ASSERT_EQ(test::IdsOf(baseline.Query(q, k)), want_ids) << "baseline";
-      ASSERT_EQ(test::IdsOf(counting.Query(q, k)), want_ids) << "counting";
-      ASSERT_EQ(test::IdsOf(direct.Query(q, k)), want_ids) << "direct";
-      ASSERT_EQ(test::IdsOf(scan.Query(q, k)), want_ids) << "scan";
+      ASSERT_EQ(test::IdsOf(topk::Query(baseline, q, k)), want_ids)
+          << "baseline";
+      ASSERT_EQ(test::IdsOf(topk::Query(counting, q, k)), want_ids)
+          << "counting";
+      ASSERT_EQ(test::IdsOf(topk::Query(direct, q, k)), want_ids) << "direct";
+      ASSERT_EQ(test::IdsOf(topk::Query(scan, q, k)), want_ids) << "scan";
     }
   }
 }
@@ -132,8 +134,9 @@ TEST_P(StabSeedSweep, KdAndSegTreeSubstratesAgree) {
     // Top-k agreement between the two Theorem 2 instantiations.
     for (size_t k : {size_t{1}, size_t{25}}) {
       auto want_topk = test::BruteTopK<interval::StabProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm2_kd.Query(q, k)), test::IdsOf(want_topk));
-      ASSERT_EQ(test::IdsOf(thm2_seg.Query(q, k)), test::IdsOf(want_topk));
+      const auto want_ids = test::IdsOf(want_topk);
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2_kd, q, k)), want_ids);
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2_seg, q, k)), want_ids);
     }
   }
 }

@@ -127,9 +127,9 @@ TEST_P(DominanceTopKSweep, BothReductionsMatchBrute) {
                    0.3 + rng.NextDouble() * 0.9, 0, 0};
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}, p.n}) {
       auto want = test::BruteTopK<DominanceProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want))
           << "thm1 k=" << k;
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want))
           << "thm2 k=" << k;
     }
   }

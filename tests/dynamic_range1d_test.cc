@@ -175,7 +175,7 @@ TEST(DynamicSampledTopK, InterleavedUpdatesStayExact) {
       double a = rng.NextDouble(), b = rng.NextDouble();
       if (a > b) std::swap(a, b);
       const size_t k = 1 + static_cast<size_t>(rng.Below(40));
-      auto got = topk.Query({a, b}, k);
+      auto got = topk::Query(topk, {a, b}, k);
       auto want = test::BruteTopK<Range1DProblem>(shadow, {a, b}, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want)) << "step=" << step;
     }
@@ -195,7 +195,7 @@ TEST(DynamicSampledTopK, GrowFromEmptyTriggersRebuild) {
   // After growing 3000x from empty, rebuilds must have created sample
   // levels (a never-rebuilt structure would have none).
   EXPECT_GT(topk.num_sample_levels(), 0u);
-  auto got = topk.Query({0.2, 0.8}, 25);
+  auto got = topk::Query(topk, {0.2, 0.8}, 25);
   auto want = test::BruteTopK<Range1DProblem>(shadow, {0.2, 0.8}, 25);
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
 }
@@ -206,7 +206,7 @@ TEST(DynamicSampledTopK, ShrinkToEmpty) {
   DynTopK topk(data);
   for (const Point1D& p : data) topk.Erase(p);
   EXPECT_EQ(topk.size(), 0u);
-  EXPECT_TRUE(topk.Query({0.0, 1.0}, 5).empty());
+  EXPECT_TRUE(topk::Query(topk, {0.0, 1.0}, 5).empty());
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(EmKdTree, SampledTopKOverEmKdTree) {
                    0.4 + rng.NextDouble() * 0.8, 0, 0};
     for (size_t k : {size_t{1}, size_t{25}, size_t{400}}) {
       auto want = test::BruteTopK<DominanceProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want));
     }
   }
   EXPECT_GT(fx.dev->counters().total(), 0u);

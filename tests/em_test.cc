@@ -382,8 +382,8 @@ TEST(EmReductions, BothReductionsMatchBrute) {
     if (a > b) std::swap(a, b);
     for (size_t k : {size_t{1}, size_t{50}, size_t{2000}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({a, b}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, {a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, {a, b}, k)), test::IdsOf(want));
     }
   }
   EXPECT_GT(fx.dev->counters().total(), io_before);  // really EM-backed

@@ -177,9 +177,9 @@ TEST_P(EnclosureTopKSweep, BothReductionsMatchBrute) {
     const Point2 q{rng.NextDouble() * m, rng.NextDouble() * m};
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}, p.n}) {
       auto want = test::BruteTopK<EnclosureProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want))
           << "thm1 k=" << k;
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want))
           << "thm2 k=" << k;
     }
   }

@@ -121,7 +121,7 @@ TEST(LogarithmicMethod, InsertOnlySampledTopK) {
     if (i % 250 == 0) {
       const double q = rng.NextDouble() * 1.2;
       for (size_t k : {size_t{1}, size_t{15}, size_t{200}}) {
-        auto got = topk.Query(q, k);
+        auto got = topk::Query(topk, q, k);
         auto want = test::BruteTopK<StabProblem>(shadow, q, k);
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "i=" << i << " k=" << k;
@@ -136,12 +136,12 @@ TEST(LogarithmicMethod, InsertOnlySampledTopK) {
 
 TEST(HeapSelectTopK, EmptyAndEdgeCases) {
   HeapSelectTopK s({});
-  EXPECT_TRUE(s.Query({0, 1}, 5).empty());
+  EXPECT_TRUE(topk::Query(s, {0, 1}, 5).empty());
   Rng rng(6);
   HeapSelectTopK s2(test::RandomPoints1D(100, &rng));
-  EXPECT_TRUE(s2.Query({0, 1}, 0).empty());
-  EXPECT_TRUE(s2.Query({0.7, 0.2}, 5).empty());  // inverted
-  EXPECT_EQ(s2.Query({0, 1}, 1000).size(), 100u);
+  EXPECT_TRUE(topk::Query(s2, {0, 1}, 0).empty());
+  EXPECT_TRUE(topk::Query(s2, {0.7, 0.2}, 5).empty());  // inverted
+  EXPECT_EQ(topk::Query(s2, {0, 1}, 1000).size(), 100u);
 }
 
 struct Param {
@@ -165,7 +165,7 @@ TEST_P(HeapSelectSweep, MatchesBruteForce) {
     if (a > b) std::swap(a, b);
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}, p.n}) {
       if (k == 0) continue;
-      auto got = s.Query({a, b}, k);
+      auto got = topk::Query(s, {a, b}, k);
       auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
           << "n=" << p.n << " k=" << k;
@@ -184,7 +184,7 @@ TEST(HeapSelectTopK, TouchesFewNodesForSmallK) {
   std::vector<Point1D> data = test::RandomPoints1D(1 << 16, &rng);
   HeapSelectTopK s(data);
   QueryStats stats;
-  auto got = s.Query({0.2, 0.8}, 10, &stats);
+  auto got = topk::Query(s, {0.2, 0.8}, 10, &stats);
   ASSERT_EQ(got.size(), 10u);
   // O(log n + k) pops; generous bound.
   EXPECT_LT(stats.nodes_visited, 200u);

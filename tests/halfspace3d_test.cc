@@ -99,8 +99,8 @@ TEST(Halfspace3, BothReductionsMatchBrute) {
     const Halfspace3 q = RandomHalfspace(&rng);
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}}) {
       auto want = test::BruteTopK<Halfspace3Problem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want));
     }
   }
 }
@@ -120,7 +120,7 @@ TEST(KdTreeDegenerate, IdenticalPoints) {
 
   SampledTopK<Halfspace3Problem, Halfspace3KdTree, Halfspace3KdTree> thm2(
       data);
-  auto top = thm2.Query({1, 0, 0, 0.0}, 5);
+  auto top = topk::Query(thm2, {1, 0, 0, 0.0}, 5);
   ASSERT_EQ(top.size(), 5u);
   EXPECT_EQ(top[0].id, 300u);
   EXPECT_EQ(top[4].id, 296u);

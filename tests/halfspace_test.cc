@@ -120,9 +120,9 @@ TEST(Halfspace, BothReductionsMatchBrute) {
     const Halfplane q = RandomHalfplane(&rng);
     for (size_t k : {size_t{1}, size_t{10}, size_t{100}, size_t{2500}}) {
       auto want = test::BruteTopK<HalfplaneProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want))
           << "thm1 k=" << k;
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want))
           << "thm2 k=" << k;
     }
   }

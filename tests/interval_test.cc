@@ -178,8 +178,8 @@ TEST_P(StabTopKSweep, BothReductionsMatchBrute) {
     const double q = rng.NextDouble() * xmax;
     for (size_t k : {size_t{1}, size_t{3}, size_t{20}, size_t{200}, p.n}) {
       auto want = test::BruteTopK<StabProblem>(data, q, k);
-      auto got1 = thm1.Query(q, k);
-      auto got2 = thm2.Query(q, k);
+      auto got1 = topk::Query(thm1, q, k);
+      auto got2 = topk::Query(thm2, q, k);
       ASSERT_EQ(test::IdsOf(got1), test::IdsOf(want))
           << "thm1 q=" << q << " k=" << k;
       ASSERT_EQ(test::IdsOf(got2), test::IdsOf(want))

@@ -135,8 +135,8 @@ TEST(IntervalTreeStab, WorksUnderBothReductions) {
     const double q = rng.NextDouble() * 1.3;
     for (size_t k : {size_t{1}, size_t{10}, size_t{150}}) {
       auto want = test::BruteTopK<StabProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want));
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/sink.h"
 #include "range1d/point1d.h"
@@ -75,7 +76,9 @@ TEST(PrioritySearchTree, OutputSensitiveNodeCount) {
   std::vector<Point1D> data = test::RandomPoints1D(1 << 15, &rng);
   PrioritySearchTree pst(data);
   QueryStats stats;
-  auto r = MonitoredQuery(pst, Range1D{0.0, 1.0}, 999.0, data.size(), &stats);
+  Scratch scratch;
+  auto r = MonitoredQuery(pst, Range1D{0.0, 1.0}, 999.0, data.size(),
+                          &scratch, &stats);
   EXPECT_FALSE(r.hit_budget);
   // ~33 qualifying points expected; allow generous slack but demand
   // strong sublinearity.

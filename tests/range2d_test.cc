@@ -146,9 +146,9 @@ TEST(Range2D, BothReductionsMatchBrute) {
     const Rect2 q{x1, x2, y1, y2};
     for (size_t k : {size_t{1}, size_t{10}, size_t{200}, size_t{5000}}) {
       auto want = test::BruteTopK<Range2DProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, q, k)), test::IdsOf(want))
           << "thm1 k=" << k;
-      ASSERT_EQ(test::IdsOf(thm2.Query(q, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, q, k)), test::IdsOf(want))
           << "thm2 k=" << k;
     }
   }

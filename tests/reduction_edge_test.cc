@@ -52,8 +52,8 @@ TEST(ReductionEdges, SkewedWeightsStayExact) {
     if (a > b) std::swap(a, b);
     for (size_t k : {size_t{1}, size_t{64}, size_t{4000}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({a, b}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, {a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, {a, b}, k)), test::IdsOf(want));
     }
   }
 }
@@ -66,7 +66,7 @@ TEST(ReductionEdges, LargeKTakesScanPathAndIsExact) {
   Thm1 thm1(data);
   ASSERT_LT(thm1.f(), 20000u);
   QueryStats stats;
-  auto got = thm1.Query({0.0, 1.0}, 20000, &stats);  // k == n/2
+  auto got = topk::Query(thm1, {0.0, 1.0}, 20000, &stats);  // k == n/2
   EXPECT_EQ(stats.full_scans, 1u);
   auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, 20000);
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
@@ -84,8 +84,8 @@ TEST(ReductionEdges, SigmaControlsLadderDensity) {
   // Both remain exact.
   for (size_t k : {size_t{5}, size_t{500}}) {
     auto want = test::BruteTopK<Range1DProblem>(data, {0.3, 0.7}, k);
-    EXPECT_EQ(test::IdsOf(s.Query({0.3, 0.7}, k)), test::IdsOf(want));
-    EXPECT_EQ(test::IdsOf(d.Query({0.3, 0.7}, k)), test::IdsOf(want));
+    EXPECT_EQ(test::IdsOf(topk::Query(s, {0.3, 0.7}, k)), test::IdsOf(want));
+    EXPECT_EQ(test::IdsOf(topk::Query(d, {0.3, 0.7}, k)), test::IdsOf(want));
   }
 }
 
@@ -99,8 +99,8 @@ TEST(ReductionEdges, BlockSizeScalesF) {
   Thm1 a(data, small_b), b(data, big_b);
   EXPECT_LT(a.f(), b.f());  // f = 12*lambda*B*Q_pri grows with B
   auto want = test::BruteTopK<Range1DProblem>(data, {0.2, 0.9}, 33);
-  EXPECT_EQ(test::IdsOf(a.Query({0.2, 0.9}, 33)), test::IdsOf(want));
-  EXPECT_EQ(test::IdsOf(b.Query({0.2, 0.9}, 33)), test::IdsOf(want));
+  EXPECT_EQ(test::IdsOf(topk::Query(a, {0.2, 0.9}, 33)), test::IdsOf(want));
+  EXPECT_EQ(test::IdsOf(topk::Query(b, {0.2, 0.9}, 33)), test::IdsOf(want));
 }
 
 TEST(ReductionEdges, TinyInputsEveryK) {
@@ -110,10 +110,11 @@ TEST(ReductionEdges, TinyInputsEveryK) {
     Thm1 thm1(data);
     Thm2 thm2(data);
     for (size_t k = 1; k <= n + 2; ++k) {
-      auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({0.0, 1.0}, k)), test::IdsOf(want))
+      const Range1D all{0.0, 1.0};
+      auto want = test::BruteTopK<Range1DProblem>(data, all, k);
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, all, k)), test::IdsOf(want))
           << "n=" << n << " k=" << k;
-      ASSERT_EQ(test::IdsOf(thm2.Query({0.0, 1.0}, k)), test::IdsOf(want))
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, all, k)), test::IdsOf(want))
           << "n=" << n << " k=" << k;
     }
   }
@@ -133,8 +134,8 @@ TEST(ReductionEdges, AllWeightsEqual) {
     if (a > b) std::swap(a, b);
     for (size_t k : {size_t{1}, size_t{10}, size_t{500}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({a, b}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm1, {a, b}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(topk::Query(thm2, {a, b}, k)), test::IdsOf(want));
     }
   }
 }

@@ -46,7 +46,7 @@ using DynTopK = SampledTopK<
 
 TEST(SampledTopK, EmptyInput) {
   TopK topk({});
-  EXPECT_TRUE(topk.Query({0, 1}, 5).empty());
+  EXPECT_TRUE(topk::Query(topk, {0, 1}, 5).empty());
   EXPECT_EQ(topk.num_sample_levels(), 0u);
 }
 
@@ -55,7 +55,7 @@ TEST(SampledTopK, TinyInputHasNoLevelsButAnswers) {
   std::vector<Point1D> data = test::RandomPoints1D(50, &rng);
   TopK topk(data);
   EXPECT_EQ(topk.num_sample_levels(), 0u);  // n/4 < B * Q_max
-  auto got = topk.Query({0.0, 1.0}, 5);
+  auto got = topk::Query(topk, {0.0, 1.0}, 5);
   auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, 5);
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
 }
@@ -74,7 +74,7 @@ TEST(SampledTopK, RoundsAreCounted) {
   Rng rng(3);
   TopK topk(test::RandomPoints1D(50000, &rng));
   QueryStats stats;
-  topk.Query({0.0, 1.0}, 100, &stats);
+  topk::Query(topk, {0.0, 1.0}, 100, &stats);
   EXPECT_GE(stats.rounds + stats.full_scans, 1u);
 }
 
@@ -106,7 +106,7 @@ TEST_P(SampledSweep, MatchesBruteForceAcrossKRegimes) {
     const Range1D q{a, b};
     for (size_t k : ks) {
       if (k == 0) continue;
-      auto got = topk.Query(q, k);
+      auto got = topk::Query(topk, q, k);
       auto want = test::BruteTopK<Range1DProblem>(data, q, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
           << "n=" << p.n << " k=" << k << " q=[" << a << "," << b << "]";
@@ -167,7 +167,7 @@ TEST(SampledTopKDynamic, InsertEraseReinsertKeepsLevelsConsistent) {
     topk.AuditInvariants();
   }
   for (size_t k : {size_t{1}, size_t{10}, size_t{200}}) {
-    auto got = topk.Query({0.0, 1.0}, k);
+    auto got = topk::Query(topk, {0.0, 1.0}, k);
     auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, k);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want)) << "k=" << k;
   }
@@ -207,7 +207,7 @@ TEST_P(DynamicSweep, MixedUpdatesMatchBruteForce) {
       const Range1D q{a, b};
       for (size_t k : {size_t{1}, size_t{8}, size_t{100},
                        mirror.size() + 1}) {
-        auto got = topk.Query(q, k);
+        auto got = topk::Query(topk, q, k);
         auto want = test::BruteTopK<Range1DProblem>(mirror, q, k);
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "n=" << mirror.size() << " k=" << k << " q=[" << a << ","

@@ -81,7 +81,7 @@ TEST(EpochManager, PinsHoldRetiredEpochsUntilReleased) {
   EXPECT_EQ(epochs.live_epochs(), 2u);
   // The pinned (retired) epoch still answers from its own snapshot.
   EXPECT_EQ(pin.get()->size(), v1.size());
-  EXPECT_EQ(test::IdsOf(pin.get()->Query({0.0, 1.0}, 5)),
+  EXPECT_EQ(test::IdsOf(topk::Query(*pin.get(), {0.0, 1.0}, 5)),
             test::IdsOf(test::BruteTopK<Range1DProblem>(v1, {0.0, 1.0},
                                                         5)));
 

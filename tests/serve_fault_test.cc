@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/budgeted_query.h"
 #include "core/scan_topk.h"
@@ -43,55 +44,64 @@ std::vector<uint64_t> PrefixIds(const std::vector<Point1D>& full, size_t m) {
   return ids;
 }
 
-// --- BudgetedTopK ---------------------------------------------------------
+// --- BudgetedTopKInto -----------------------------------------------------
 
-TEST(BudgetedTopK, RunsToCompletionWhenNeverStopped) {
+TEST(BudgetedTopKInto, RunsToCompletionWhenNeverStopped) {
   Rng rng(1);
   const auto data = test::RandomPoints1D(800, &rng);
   Scan scan(data);
   const Range1D q{0.1, 0.9};
-  auto r = BudgetedTopK(scan, q, 8, [] { return false; });
+  Scratch scratch;
+  std::vector<Point1D> out;
+  auto r = BudgetedTopKInto(scan, q, 8, [] { return false; }, &scratch, &out);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.stages, 4u);  // k' = 1, 2, 4, 8
-  EXPECT_EQ(test::IdsOf(r.elements),
+  EXPECT_EQ(test::IdsOf(out),
             test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, 8)));
 }
 
-TEST(BudgetedTopK, StopAfterAnyStageYieldsCorrectPrefix) {
+TEST(BudgetedTopKInto, StopAfterAnyStageYieldsCorrectPrefix) {
   Rng rng(2);
   const auto data = test::RandomPoints1D(800, &rng);
   Scan scan(data);
   const Range1D q{0.0, 1.0};
   const auto want = test::BruteTopK<Range1DProblem>(data, q, 32);
+  Scratch scratch;
+  std::vector<Point1D> out;
   for (size_t stop_after : {size_t{1}, size_t{2}, size_t{3}}) {
     size_t stages = 0;
-    auto r = BudgetedTopK(scan, q, 32,
-                          [&] { return ++stages >= stop_after; });
+    auto r = BudgetedTopKInto(
+        scan, q, 32, [&] { return ++stages >= stop_after; }, &scratch, &out);
     EXPECT_FALSE(r.complete);
     EXPECT_EQ(r.stages, stop_after);
     // Stage s answered top-2^{s-1}: a literal prefix of the true top-k.
-    EXPECT_EQ(test::IdsOf(r.elements),
+    EXPECT_EQ(test::IdsOf(out),
               PrefixIds(want, size_t{1} << (stop_after - 1)));
   }
 }
 
-TEST(BudgetedTopK, SmallAnswersCompleteRegardlessOfStop) {
+TEST(BudgetedTopKInto, SmallAnswersCompleteRegardlessOfStop) {
   Rng rng(3);
   const auto data = test::RandomPoints1D(100, &rng);
   Scan scan(data);
+  Scratch scratch;
+  std::vector<Point1D> out;
   // k = 0 and a predicate matching nothing: complete immediately, and
   // the stop predicate (always true) never turns them into failures.
-  auto zero = BudgetedTopK(scan, Range1D{0.0, 1.0}, 0, [] { return true; });
+  auto zero = BudgetedTopKInto(scan, Range1D{0.0, 1.0}, 0,
+                               [] { return true; }, &scratch, &out);
   EXPECT_TRUE(zero.complete);
-  EXPECT_TRUE(zero.elements.empty());
-  auto none = BudgetedTopK(scan, Range1D{2.0, 3.0}, 5, [] { return true; });
+  EXPECT_TRUE(out.empty());
+  auto none = BudgetedTopKInto(scan, Range1D{2.0, 3.0}, 5,
+                               [] { return true; }, &scratch, &out);
   EXPECT_TRUE(none.complete);
-  EXPECT_TRUE(none.elements.empty());
+  EXPECT_TRUE(out.empty());
   // More k than matches: the structure runs dry (a stage returns fewer
   // than k' elements) and the answer completes without reaching k.
-  auto all = BudgetedTopK(scan, Range1D{0.0, 1.0}, 1000, [] { return false; });
+  auto all = BudgetedTopKInto(scan, Range1D{0.0, 1.0}, 1000,
+                              [] { return false; }, &scratch, &out);
   EXPECT_TRUE(all.complete);
-  EXPECT_EQ(all.elements.size(), 100u);
+  EXPECT_EQ(out.size(), 100u);
 }
 
 // --- QueryEngine: budgets -------------------------------------------------

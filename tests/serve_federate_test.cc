@@ -141,7 +141,7 @@ void ExpectFederatedExact(size_t num_shards, uint64_t seed) {
         << "S=" << num_shards << " query " << i;
     // Bitwise-identical to the single-engine answer over the union —
     // which is itself pinned to brute force.
-    EXPECT_EQ(test::IdsOf(out), test::IdsOf(whole.Query(q, k)))
+    EXPECT_EQ(test::IdsOf(out), test::IdsOf(topk::Query(whole, q, k)))
         << "S=" << num_shards << " query " << i;
     EXPECT_EQ(test::IdsOf(out),
               test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)))

@@ -83,22 +83,6 @@ std::vector<Point1D> SaturatedTies(size_t n, Rng* rng) {
   return pts;
 }
 
-// Mirrors serve::QueryEngine's dispatch: the reductions take the
-// Context after the tracer, except CountingTopK whose QueryInto has no
-// tracer parameter.
-template <typename S>
-void QueryIntoPar(const S& s, const Range1D& q, size_t k,
-                  Scratch* scratch, std::vector<Point1D>* out,
-                  QueryStats* stats, parallel::Context* par) {
-  if constexpr (requires {
-                  s.QueryInto(q, k, scratch, out, stats, nullptr, par);
-                }) {
-    s.QueryInto(q, k, scratch, out, stats, /*tracer=*/nullptr, par);
-  } else {
-    s.QueryInto(q, k, scratch, out, stats, par);
-  }
-}
-
 // Sweeps every k regime of `s` over tie-heavy queries, serial and at
 // several shard counts, demanding exact equality with brute force (and
 // hence with the serial path) every time.
@@ -124,7 +108,7 @@ void ExpectParallelMatchesSerial(const S& s,
           test::BruteTopK<Range1DProblem>(data, q, k);
       for (parallel::Context* par : contexts) {
         QueryStats stats;
-        QueryIntoPar(s, q, k, &scratch, &got, &stats, par);
+        s.QueryInto(q, k, &scratch, &got, &stats, /*tracer=*/nullptr, par);
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "k=" << k << " shards="
             << (par == nullptr ? 1 : par->shards()) << " q=[" << lo
@@ -179,10 +163,12 @@ struct ThreadRecorder {
   std::thread::id* ids = nullptr;
   std::latch* all_in_flight = nullptr;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t k, QueryStats*) const {
+  void QueryInto(const Range1D&, size_t k, Scratch*,
+                 std::vector<Point1D>* out, QueryStats*, trace::Tracer*,
+                 parallel::Context*) const {
     ids[k - 1] = std::this_thread::get_id();
     if (all_in_flight != nullptr) all_in_flight->arrive_and_wait();
-    return {};
+    out->clear();
   }
 };
 

@@ -24,6 +24,7 @@
 
 #include "audit/checked_prioritized.h"
 #include "common/random.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
@@ -71,8 +72,8 @@ void SweepAndCompare(const Plain& plain, const Mirrored& mirrored) {
     const size_t k = 1 + qrng.Below(300);
     QueryStats plain_stats;
     QueryStats mirrored_stats;
-    auto got = plain.Query(q, k, &plain_stats);
-    auto got_mirrored = mirrored.Query(q, k, &mirrored_stats);
+    auto got = topk::Query(plain, q, k, &plain_stats);
+    auto got_mirrored = topk::Query(mirrored, q, k, &mirrored_stats);
     ASSERT_EQ(test::IdsOf(got), test::IdsOf(got_mirrored));
     ExpectStatsEqual(plain_stats, mirrored_stats);
   }
@@ -145,8 +146,10 @@ TEST(StatsAccounting, MonitoredQueryOnReverseReductionChargesOnce) {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
   QueryStats stats;
+  Scratch scratch;
   const Range1D q{0.1, 0.9};
-  MonitoredResult<Point1D> r = MonitoredQuery(pri, q, kNegInf, 64, &stats);
+  MonitoredPool<Point1D> r =
+      MonitoredQuery(pri, q, kNegInf, 64, &scratch, &stats);
   EXPECT_TRUE(r.hit_budget);
   EXPECT_EQ(r.elements.size(), 64u);
   EXPECT_EQ(stats.prioritized_queries, 1u);

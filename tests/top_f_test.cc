@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/scratch.h"
 #include "core/core_set.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
@@ -30,10 +31,11 @@ TEST(TopFChain, SingleLevelWhenSmall) {
   std::vector<Point1D> data = test::RandomPoints1D(100, &rng);
   Chain chain(data, /*f=*/50, /*constant_scale=*/1.0, &rng, 16);
   EXPECT_EQ(chain.num_levels(), 1u);  // 100 <= 4 * 50
-  auto top = chain.QueryTopF({0.0, 1.0}, nullptr);
+  Scratch scratch;
+  auto top = chain.QueryTopF({0.0, 1.0}, &scratch, nullptr);
   ASSERT_TRUE(top.has_value());
   auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, 50);
-  EXPECT_EQ(test::IdsOf(*top), test::IdsOf(want));
+  EXPECT_EQ(test::IdsOf(top->vec()), test::IdsOf(want));
 }
 
 TEST(TopFChain, LevelsShrinkGeometrically) {
@@ -53,17 +55,18 @@ TEST(TopFChain, TopFMatchesBruteAcrossLevelsAndRanges) {
   std::vector<Point1D> data = test::RandomPoints1D(30000, &rng);
   const size_t f = 300;
   Chain chain(data, f, 1.0, &rng, 16);
+  Scratch scratch;
   int failures = 0;
   for (int trial = 0; trial < 30; ++trial) {
     double a = rng.NextDouble(), b = rng.NextDouble();
     if (a > b) std::swap(a, b);
-    auto top = chain.QueryTopF({a, b}, nullptr);
+    auto top = chain.QueryTopF({a, b}, &scratch, nullptr);
     if (!top.has_value()) {
       ++failures;  // allowed (unlucky core-set) but must be rare
       continue;
     }
     auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, f);
-    ASSERT_EQ(test::IdsOf(*top), test::IdsOf(want));
+    ASSERT_EQ(test::IdsOf(top->vec()), test::IdsOf(want));
   }
   EXPECT_LE(failures, 2);
 }
@@ -71,7 +74,8 @@ TEST(TopFChain, TopFMatchesBruteAcrossLevelsAndRanges) {
 TEST(TopFChain, EmptyPredicateReturnsEmpty) {
   Rng rng(4);
   Chain chain(test::RandomPoints1D(5000, &rng), 100, 1.0, &rng, 16);
-  auto top = chain.QueryTopF({2.0, 3.0}, nullptr);
+  Scratch scratch;
+  auto top = chain.QueryTopF({2.0, 3.0}, &scratch, nullptr);
   ASSERT_TRUE(top.has_value());
   EXPECT_TRUE(top->empty());
 }
@@ -81,7 +85,9 @@ TEST(TopFChain, StatsChargedPerLevel) {
   std::vector<Point1D> data = test::RandomPoints1D(40000, &rng);
   Chain chain(data, 200, 1.0, &rng, 16);
   QueryStats stats;
-  chain.QueryTopF({0.0, 1.0}, &stats);  // whole domain: deep recursion
+  Scratch scratch;
+  // Whole domain: deep recursion.
+  chain.QueryTopF({0.0, 1.0}, &scratch, &stats);
   EXPECT_GE(stats.prioritized_queries, chain.num_levels());
 }
 

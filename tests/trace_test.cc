@@ -188,7 +188,7 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem1) {
     const Range1D q{std::min(a, b), std::max(a, b)};
     const size_t k = 1 + qrng.Below(200);
     QueryStats stats;
-    auto got = topk.Query(q, k, &stats, &tracer);
+    auto got = topk::Query(topk, q, k, &stats, &tracer);
     auto want = test::BruteTopK<Range1DProblem>(data, q, k);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
     ASSERT_EQ(tracer.dropped(), 0u);
@@ -214,7 +214,7 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem2) {
     const Range1D q{std::min(a, b), std::max(a, b)};
     const size_t k = 1 + qrng.Below(200);
     QueryStats stats;
-    auto got = topk.Query(q, k, &stats, &tracer);
+    auto got = topk::Query(topk, q, k, &stats, &tracer);
     auto want = test::BruteTopK<Range1DProblem>(data, q, k);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
     ASSERT_EQ(tracer.dropped(), 0u);

@@ -22,13 +22,14 @@ and runs four whole-program checks:
                 "scratch memory contract"): inside the body of any
                 function whose name ends in `Into` (QueryInto,
                 BudgetedTopKInto, ScanAllInto, ... — the scratch-
-                threaded entry points; the `Query(...)` compat
-                overloads deliberately own a throwaway Scratch and are
-                exempt) there must be no `new`, no owning
-                std::vector/std::string locals, and no push_back /
-                emplace_back whose receiver is not scratch-backed (a
-                ScratchVec / MonitoredPool local, a reference bound to
-                someone's .vec(), or a caller-recycled out-parameter).
+                threaded entry points; the free `topk::Query` in
+                core/problem.h is the one compat form, deliberately
+                owning a throwaway Scratch, and is exempt) there must
+                be no `new`, no owning std::vector/std::string locals,
+                and no push_back / emplace_back whose receiver is not
+                scratch-backed (a ScratchVec / MonitoredPool local, a
+                reference bound to someone's .vec(), or a
+                caller-recycled out-parameter).
                 This is the static complement to
                 tests/alloc_regression_test.cc, which only covers
                 structures the tests instantiate.
