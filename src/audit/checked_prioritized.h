@@ -29,6 +29,7 @@
 #define TOPK_AUDIT_CHECKED_PRIORITIZED_H_
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
@@ -129,6 +130,16 @@ class CheckedPrioritized {
     requires requires(const S& s) { s.ForEach(f); }
   {
     inner_.ForEach(std::forward<F>(f));
+  }
+
+  // Slot passthrough (parallel::SlotAddressable), available iff S has
+  // it, so a checked substrate is scanned through the same slots.
+  const Element& ElementAt(size_t slot) const
+    requires requires(const S& s) {
+      { s.ElementAt(slot) } -> std::same_as<const Element&>;
+    }
+  {
+    return inner_.ElementAt(slot);
   }
 
   // --- Dynamic passthrough (mirror kept in lockstep) --------------------

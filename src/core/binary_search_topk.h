@@ -19,13 +19,15 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/kselect.h"
 #include "common/scratch.h"
 #include "common/stats.h"
+#include "core/factory.h"
 #include "core/problem.h"
 #include "core/sink.h"
 #include "parallel/context.h"
@@ -49,15 +51,16 @@ namespace topk {
 //
 // Intra-query parallelism: the O(log n) probes are budgeted (budget k)
 // and stay serial, but the final fetch is un-budgeted (budget n + 1, a
-// degenerate full fetch) and runs through the sharded flat kernel when
-// the caller supplies a mirror (nullable) and a context.
+// degenerate full fetch) and runs through the sharded flat kernel over
+// `flat` (the caller's flat source for pri) when it is engaged and a
+// context is present.
 template <typename Problem, typename Pri,
           typename Element = typename Problem::Element>
 void BinarySearchTopKQueryInto(
     const Pri& pri, const std::vector<double>& weights_desc,
     const typename Problem::Predicate& q, size_t k, Scratch* scratch,
     std::vector<Element>* out, QueryStats* stats, trace::Tracer* tracer,
-    const parallel::FlatMirror<Element>* mirror, parallel::Context* par) {
+    const parallel::FlatSource<Pri, Element>& flat, parallel::Context* par) {
   out->clear();
   if (k == 0 || weights_desc.empty()) return;
   if (k > weights_desc.size()) k = weights_desc.size();
@@ -85,10 +88,9 @@ void BinarySearchTopKQueryInto(
   const double tau = (lo < weights_desc.size())
                          ? weights_desc[lo]
                          : -std::numeric_limits<double>::infinity();
-  if (mirror != nullptr &&
-      parallel::ShouldShard(par, pri.size(), pri.size() + 1)) {
-    ShardedFetchInto<Problem>(*mirror, q, tau, k, par, scratch, out, stats,
-                              tracer);
+  if (parallel::ShouldShard(par, flat.weights(), pri.size() + 1)) {
+    ShardedFetchInto<Problem>(flat.slots(pri), flat.weights(), q, tau, k,
+                              par, scratch, out, stats, tracer);
     return;
   }
   MonitoredPool<Element> fin =
@@ -111,10 +113,19 @@ class BinarySearchTopK {
 
   explicit BinarySearchTopK(std::vector<Element> data)
       : weights_desc_(MakeWeights(data)),
-        mirror_(MakeMirror(data)),
-        pri_(std::move(data)) {}
+        pri_(flat_.Build(std::move(data), DirectFactory<Pri>{})) {}
 
   size_t size() const { return pri_.size(); }
+
+  // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): one sorted
+  // weight per element, and the flat source matches pri's slots.
+  // Aborts via TOPK_CHECK on violation.
+  void AuditInvariants() const {
+    TOPK_CHECK_EQ(weights_desc_.size(), pri_.size());
+    TOPK_CHECK(std::is_sorted(weights_desc_.begin(), weights_desc_.end(),
+                              std::greater<double>()));
+    flat_.AuditInvariants(pri_);
+  }
 
   // The k heaviest elements of q(D), heaviest first, into *out: zero
   // allocations once `scratch` and *out are warm (the serving engine's
@@ -126,7 +137,7 @@ class BinarySearchTopK {
                  parallel::Context* par = nullptr) const {
     BinarySearchTopKQueryInto<Problem>(
         pri_, weights_desc_, q, k, scratch, out, stats, tracer,
-        mirror_.has_value() ? &*mirror_ : nullptr, par);
+        flat_, par);
   }
 
   const Pri& prioritized() const { return pri_; }
@@ -140,15 +151,10 @@ class BinarySearchTopK {
     return w;
   }
 
-  static std::optional<parallel::FlatMirror<Element>> MakeMirror(
-      const std::vector<Element>& data) {
-    if (data.size() < parallel::kMinShardedN) return std::nullopt;
-    return parallel::FlatMirror<Element>(data);
-  }
-
   std::vector<double> weights_desc_;
-  // SoA copy for the sharded final fetch; engaged iff n >= kMinShardedN.
-  std::optional<parallel::FlatMirror<Element>> mirror_;
+  // Slot source for the sharded final fetch; engaged iff n >=
+  // kMinShardedN. Declared before pri_, whose initializer builds it.
+  parallel::FlatSource<Pri, Element> flat_;
   Pri pri_;
 };
 

@@ -31,6 +31,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -100,6 +101,11 @@ class CoreSetTopK {
   size_t f() const { return f_; }
   size_t num_chain_levels() const { return chain_->num_levels(); }
   size_t num_large_k_core_sets() const { return large_k_chains_.size(); }
+  // The small-k chain on D and the large-k chain on core-set R[i + 1].
+  const TopFChain<Problem, Pri>& small_k_chain() const { return *chain_; }
+  const TopFChain<Problem, Pri>& large_k_chain(size_t i) const {
+    return large_k_chains_[i];
+  }
 
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Theorem 1
   // composition invariants — the f clamp of inequality (11), the sorted
@@ -145,7 +151,8 @@ class CoreSetTopK {
     if (k == 0 || n_ == 0) return;
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     const Pri& pri = chain_->level0();
-    const parallel::FlatMirror<Element>* mirror = chain_->level0_mirror();
+    const parallel::FlatSource<Pri, Element>& flat = chain_->level0_flat();
+    const std::span<const double> weights = flat.weights();
     trace::Span span(tracer, "thm1_query", stats);
     span.Arg("k", k);
 
@@ -165,9 +172,9 @@ class CoreSetTopK {
       // Read everything: O(n/B) = O(k/B).
       span.Arg("full_scan", 1);
       if (stats != nullptr) ++stats->full_scans;
-      if (mirror != nullptr && parallel::ShouldShard(par, n_, n_ + 1)) {
-        ShardedFetchInto<Problem>(*mirror, q, kNegInf, k, par, scratch,
-                                  out, stats, tracer);
+      if (parallel::ShouldShard(par, weights, n_ + 1)) {
+        ShardedFetchInto<Problem>(flat.slots(pri), weights, q, kNegInf, k,
+                                  par, scratch, out, stats, tracer);
         return;
       }
       MonitoredPool<Element> all =
@@ -190,9 +197,10 @@ class CoreSetTopK {
     // this query probed — the per-query attribution E23 cares about.
     span.Arg("core_set_level", i);
     const size_t budget = static_cast<size_t>(4.0 * K) + 1;
-    if (mirror != nullptr && parallel::ShouldShard(par, n_, budget)) {
-      const size_t matched = ShardedFetchInto<Problem>(
-          *mirror, q, kNegInf, k, par, scratch, out, stats, tracer);
+    if (parallel::ShouldShard(par, weights, budget)) {
+      const size_t matched =
+          ShardedFetchInto<Problem>(flat.slots(pri), weights, q, kNegInf, k,
+                                    par, scratch, out, stats, tracer);
       // matched < budget <=> the serial probe completes under budget
       // and *out already holds its k-selection.
       if (matched < budget) return;
@@ -225,9 +233,10 @@ class CoreSetTopK {
 
     // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
     const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
-    if (mirror != nullptr && parallel::ShouldShard(par, n_, fetch_budget)) {
-      const size_t matched = ShardedFetchInto<Problem>(
-          *mirror, q, tau, k, par, scratch, out, stats, tracer);
+    if (parallel::ShouldShard(par, weights, fetch_budget)) {
+      const size_t matched =
+          ShardedFetchInto<Problem>(flat.slots(pri), weights, q, tau, k, par,
+                                    scratch, out, stats, tracer);
       // hit_budget <=> matched >= fetch_budget; |fetched| < k <=>
       // matched < k — the same two failure tests as the serial path.
       if (matched >= fetch_budget || matched < k) {
@@ -268,7 +277,7 @@ class CoreSetTopK {
     if (stats != nullptr) ++stats->fallbacks;
     BinarySearchTopKQueryInto<Problem>(chain_->level0(), weights_desc_, q,
                                        k, scratch, out, stats, tracer,
-                                       chain_->level0_mirror(), par);
+                                       chain_->level0_flat(), par);
   }
 
   ReductionOptions options_;

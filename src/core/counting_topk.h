@@ -28,13 +28,15 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/kselect.h"
 #include "common/scratch.h"
 #include "common/stats.h"
+#include "core/factory.h"
 #include "core/problem.h"
 #include "core/sink.h"
 #include "parallel/context.h"
@@ -56,9 +58,22 @@ class CountingTopK {
   using CounterStructure = Counter;
 
   explicit CountingTopK(std::vector<Element> data)
-      : counter_(data), pri_(MakeWeightsAndPass(&data)), n_(pri_.size()) {}
+      : counter_(data),
+        pri_(flat_.Build(MakeWeightsAndPass(&data), DirectFactory<Pri>{})),
+        n_(pri_.size()) {}
 
   size_t size() const { return n_; }
+
+  // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): one sorted
+  // weight per element, and the flat source matches pri's slots.
+  // Aborts via TOPK_CHECK on violation.
+  void AuditInvariants() const {
+    TOPK_CHECK_EQ(pri_.size(), n_);
+    TOPK_CHECK_EQ(weights_desc_.size(), n_);
+    TOPK_CHECK(std::is_sorted(weights_desc_.begin(), weights_desc_.end(),
+                              std::greater<double>()));
+    flat_.AuditInvariants(pri_);
+  }
 
   // The k heaviest elements of q(D), heaviest first, into *out (cleared
   // first): the final fetch pool is borrowed from `scratch`, so a warm
@@ -90,9 +105,9 @@ class CountingTopK {
     }
     const double tau = lo < weights_desc_.size() ? weights_desc_[lo]
                                                  : kNegInf;
-    if (mirror_.has_value() && parallel::ShouldShard(par, n_, n_ + 1)) {
-      ShardedFetchInto<Problem>(*mirror_, q, tau, k, par, scratch, out,
-                                stats, tracer);
+    if (parallel::ShouldShard(par, flat_.weights(), n_ + 1)) {
+      ShardedFetchInto<Problem>(flat_.slots(pri_), flat_.weights(), q, tau,
+                                k, par, scratch, out, stats, tracer);
       return;
     }
     MonitoredPool<Element> fetched =
@@ -107,16 +122,15 @@ class CountingTopK {
     for (const Element& e : *data) weights_desc_.push_back(e.weight);
     std::sort(weights_desc_.begin(), weights_desc_.end(),
               std::greater<double>());
-    // SoA mirror for the sharded tally fetch (see parallel/flat_scan.h);
-    // engaged iff the set is big enough to ever shard. mirror_ precedes
-    // pri_ in declaration order, so it is alive while this initializer
-    // for pri_ runs.
-    if (data->size() >= parallel::kMinShardedN) mirror_.emplace(*data);
     return std::move(*data);
   }
 
   std::vector<double> weights_desc_;
-  std::optional<parallel::FlatMirror<Element>> mirror_;
+  // Slot source for the sharded tally fetch (see parallel/flat_scan.h);
+  // engaged iff the set is big enough to ever shard. Precedes pri_ in
+  // declaration order, so it is alive while pri_'s initializer builds
+  // it.
+  parallel::FlatSource<Pri, Element> flat_;
   Counter counter_;
   Pri pri_;
   size_t n_;

@@ -110,10 +110,12 @@ class SampledTopK {
   // where Max supports enumeration — no stale element in any level's
   // max structure without a matching membership record (the converse
   // direction; a clobbered membership entry is invisible to the
-  // forward checks alone). Aborts via TOPK_CHECK on violation.
+  // forward checks alone). The flat source matches the prioritized
+  // structure's slots. Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(pri_.has_value());
-    if (mirror_.has_value()) TOPK_CHECK_EQ(mirror_->size(), n_);
+    TOPK_CHECK_EQ(pri_->size(), n_);
+    flat_.AuditInvariants(*pri_);
     size_t expected_levels = 0;
     double K = base_k_;
     for (; K <= static_cast<double>(built_n_) / 4.0;
@@ -219,10 +221,10 @@ class SampledTopK {
       // test, and since matched <= n < budget the round always ends
       // here, so steps 2-4 (whose fetch shares this budget) are never
       // reached sharded.
-      if (mirror_.has_value() &&
-          parallel::ShouldShard(par, n_, budget)) {
+      if (parallel::ShouldShard(par, flat_.weights(), budget)) {
         const size_t matched = ShardedFetchInto<Problem>(
-            *mirror_, q, kNegInf, k, par, scratch, out, stats, tracer);
+            flat_.slots(*pri_), flat_.weights(), q, kNegInf, k, par,
+            scratch, out, stats, tracer);
         if (matched < budget) {
           round.Arg("verdict", kRoundProbeComplete);
           return;
@@ -291,7 +293,7 @@ class SampledTopK {
     }
     pri_->Insert(e);
     ++n_;
-    if (mirror_.has_value()) mirror_->Add(e);
+    flat_.Add(e);
     for (uint32_t j = 0; j < static_cast<uint32_t>(levels_.size()); ++j) {
       if (rng_.Bernoulli(1.0 / levels_[j].K)) {
         levels_[j].max.Insert(e);
@@ -311,7 +313,7 @@ class SampledTopK {
     pri_->Erase(e);
     TOPK_CHECK(n_ > 0);
     --n_;
-    if (mirror_.has_value()) mirror_->Remove(e.id);
+    flat_.Remove(e.id);
     const auto it = membership_.find(e.id);
     TOPK_CHECK(it != membership_.end());  // every live element has one
     for (uint32_t j : it->second) levels_[j].max.Erase(e);
@@ -365,13 +367,11 @@ class SampledTopK {
       }
       levels_.push_back(Level{K, max_factory_(std::move(sample))});
     }
-    // SoA mirror for the sharded degenerate rounds / terminal scan;
+    // Flat source for the sharded degenerate rounds / terminal scan;
     // (re)engaged per rebuild iff the set is big enough to ever shard,
-    // then maintained incrementally by Insert/Erase until the next
-    // rebuild re-evaluates.
-    mirror_.reset();
-    if (n_ >= parallel::kMinShardedN) mirror_.emplace(data);
-    pri_.emplace(pri_factory_(std::move(data)));
+    // then (a mirror, for a dynamic Pri) maintained incrementally by
+    // Insert/Erase until the next rebuild re-evaluates.
+    pri_.emplace(flat_.Build(std::move(data), pri_factory_));
   }
 
   void ScanAllInto(const Predicate& q, size_t k, Scratch* scratch,
@@ -383,9 +383,10 @@ class SampledTopK {
     if (stats != nullptr) ++stats->full_scans;
     // Budget n + 1 is always degenerate: the terminal scan is the
     // sharded kernel's home turf.
-    if (mirror_.has_value() && parallel::ShouldShard(par, n_, n_ + 1)) {
-      ShardedFetchInto<Problem>(*mirror_, q, kNegInf, k, par, scratch,
-                                out, stats, tracer);
+    if (parallel::ShouldShard(par, flat_.weights(), n_ + 1)) {
+      ShardedFetchInto<Problem>(flat_.slots(*pri_), flat_.weights(), q,
+                                kNegInf, k, par, scratch, out, stats,
+                                tracer);
       return;
     }
     MonitoredPool<Element> all =
@@ -421,9 +422,9 @@ class SampledTopK {
   // optional<> lets Build construct the structure after sampling; always
   // engaged outside the constructor.
   std::optional<Pri> pri_;
-  // SoA copy for the sharded kernel; engaged iff built_n_ was >=
+  // Slot source for the sharded kernel; engaged iff built_n_ was >=
   // parallel::kMinShardedN, maintained by Insert/Erase between rebuilds.
-  std::optional<parallel::FlatMirror<Element>> mirror_;
+  parallel::FlatSource<Pri, Element> flat_;
   std::vector<Level> levels_;
   // Dynamic instantiations: one entry per LIVE element (the value lists
   // the levels whose sample holds it, possibly none) — completeness is

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -130,7 +131,9 @@ inline void ChargeFlatScan(QueryStats* stats, size_t scanned,
 }
 
 // Degenerate monitored fetch (budget > n: a full fetch the budget can
-// never cut off) executed as the sharded flat kernel. Writes the
+// never cut off) executed as the sharded flat kernel over `slots` — the
+// caller's own substrate when it is SlotAddressable, else its
+// FlatMirror — whose slot weights are `weights`. Writes the
 // min(k, matched) heaviest tau-qualifying matches of q into *out,
 // sorted heaviest-first, and returns the EXACT match count — which
 // reproduces every protocol decision the serial MonitoredQuery feeds:
@@ -138,17 +141,16 @@ inline void ChargeFlatScan(QueryStats* stats, size_t scanned,
 // pool has exactly `matched` elements. Opens one "flat_scan" span on
 // the calling thread (helpers never touch stats or tracers) and charges
 // the issuance once, post-merge, so span self-costs telescope.
-template <typename Problem>
-size_t ShardedFetchInto(
-    const parallel::FlatMirror<typename Problem::Element>& flat,
-    const typename Problem::Predicate& q, double tau, size_t k,
-    parallel::Context* par, Scratch* scratch,
-    std::vector<typename Problem::Element>* out, QueryStats* stats,
-    trace::Tracer* tracer) {
+template <typename Problem, typename Slots>
+size_t ShardedFetchInto(const Slots& slots, std::span<const double> weights,
+                        const typename Problem::Predicate& q, double tau,
+                        size_t k, parallel::Context* par, Scratch* scratch,
+                        std::vector<typename Problem::Element>* out,
+                        QueryStats* stats, trace::Tracer* tracer) {
   trace::Span span(tracer, "flat_scan", stats);
   const size_t matched = parallel::FlatScanTopKInto<Problem>(
-      flat, q, tau, k, par, scratch, out);
-  ChargeFlatScan(stats, flat.size(), matched);
+      slots, weights, q, tau, k, par, scratch, out);
+  ChargeFlatScan(stats, weights.size(), matched);
   span.Arg("matched", matched);
   span.Arg("shards", par == nullptr ? 1 : par->shards());
   return matched;

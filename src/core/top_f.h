@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,12 +70,12 @@ class TopFChain {
                             Problem::kLambda, scale_, rng,
                             max_core_set_attempts);
       }
-      // SoA mirror for the sharded degenerate-probe kernel; only levels
-      // big enough to ever shard carry one (see parallel/flat_scan.h).
-      std::optional<parallel::FlatMirror<Element>> mirror;
-      if (n_j >= parallel::kMinShardedN) mirror.emplace(current);
-      levels_.push_back(
-          Level{factory(std::move(current)), n_j, std::move(mirror)});
+      // Flat source for the sharded degenerate-probe kernel; only
+      // levels big enough to ever shard engage one (see
+      // parallel/flat_scan.h).
+      parallel::FlatSource<Pri, Element> flat;
+      Pri pri = flat.Build(std::move(current), factory);
+      levels_.push_back(Level{std::move(pri), n_j, std::move(flat)});
       if (bottom) break;
       // Guard against a non-shrinking chain (possible only with
       // aggressive constant_scale ablation): stop; queries that bottom
@@ -92,11 +93,11 @@ class TopFChain {
   // with the enclosing CoreSetTopK so the input is indexed once.
   const Pri& level0() const { return levels_.front().pri; }
 
-  // Level 0's flat mirror, shared with the enclosing CoreSetTopK for
-  // the same reason; null when the input is too small to ever shard.
-  const parallel::FlatMirror<Element>* level0_mirror() const {
-    const Level& l = levels_.front();
-    return l.mirror.has_value() ? &*l.mirror : nullptr;
+  // Level 0's flat source, shared with the enclosing CoreSetTopK for
+  // the same reason; disengaged when the input is too small to ever
+  // shard.
+  const parallel::FlatSource<Pri, Element>& level0_flat() const {
+    return levels_.front().flat;
   }
 
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Lemma 2
@@ -104,16 +105,15 @@ class TopFChain {
   // parent, each level's structure indexes exactly the recorded count,
   // and the chain bottoms out at <= 4f elements unless the non-shrinking
   // guard truncated it (then the last level is the one that refused to
-  // shrink). Aborts via TOPK_CHECK on violation.
+  // shrink); each level's flat source matches its structure's slots.
+  // Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(f_ >= 1);
     TOPK_CHECK(!levels_.empty());
     for (size_t j = 0; j < levels_.size(); ++j) {
       TOPK_CHECK_EQ(levels_[j].pri.size(), levels_[j].n);
       if (j > 0) TOPK_CHECK_LT(levels_[j].n, levels_[j - 1].n);
-      if (levels_[j].mirror.has_value()) {
-        TOPK_CHECK_EQ(levels_[j].mirror->size(), levels_[j].n);
-      }
+      levels_[j].flat.AuditInvariants(levels_[j].pri);
     }
     // Every level above the bottom must have been worth splitting.
     for (size_t j = 0; j + 1 < levels_.size(); ++j) {
@@ -137,8 +137,8 @@ class TopFChain {
   struct Level {
     Pri pri;
     size_t n;  // number of elements indexed at this level
-    // SoA copy for the sharded kernel; engaged iff n >= kMinShardedN.
-    std::optional<parallel::FlatMirror<Element>> mirror;
+    // Slot source for the sharded kernel; engaged iff n >= kMinShardedN.
+    parallel::FlatSource<Pri, Element> flat;
   };
 
   std::optional<ScratchVec<Element>> QueryLevel(
@@ -151,15 +151,15 @@ class TopFChain {
     span.Arg("n", level.n);
     // When f is degenerate (4f + 1 > n_j: the probe budget is
     // unreachable and the serial probe is a monitored full fetch), the
-    // level walk runs sharded over the level's flat mirror. The exact
+    // level walk runs sharded over the level's flat source. The exact
     // match count reproduces the serial protocol decisions 1:1.
-    if (level.mirror.has_value() &&
-        parallel::ShouldShard(par, level.n, 4 * f_ + 1)) {
+    const std::span<const double> weights = level.flat.weights();
+    if (parallel::ShouldShard(par, weights, 4 * f_ + 1)) {
       {
         ScratchVec<Element> top = scratch->Borrow<Element>();
-        const size_t matched =
-            ShardedFetchInto<Problem>(*level.mirror, q, kNegInf, f_, par,
-                                      scratch, &top.vec(), stats, tracer);
+        const size_t matched = ShardedFetchInto<Problem>(
+            level.flat.slots(level.pri), weights, q, kNegInf, f_, par,
+            scratch, &top.vec(), stats, tracer);
         // matched <= 4f <=> the serial probe completes under budget.
         if (matched <= 4 * f_) return top;
       }  // oversized probe pool returns to the arena before recursing
@@ -183,12 +183,11 @@ class TopFChain {
 
     // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.; allow
     // 2x slack before declaring the sample bad.
-    if (level.mirror.has_value() &&
-        parallel::ShouldShard(par, level.n, 8 * f_ + 1)) {
+    if (parallel::ShouldShard(par, weights, 8 * f_ + 1)) {
       ScratchVec<Element> top = scratch->Borrow<Element>();
       const size_t matched = ShardedFetchInto<Problem>(
-          *level.mirror, q, tau, f_, par, scratch, &top.vec(), stats,
-          tracer);
+          level.flat.slots(level.pri), weights, q, tau, f_, par, scratch,
+          &top.vec(), stats, tracer);
       if (matched > 8 * f_) return std::nullopt;  // rank too deep
       if (matched < f_) return std::nullopt;      // rank too high
       return top;

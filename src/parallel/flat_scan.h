@@ -11,14 +11,23 @@
 //
 //   shard -> sorted local run | co-ranked split -> sharded merge.
 //
-// Region 1: each shard scans a contiguous slice of a FlatMirror (an SoA
-// copy of the element set: the weights live in their own contiguous
-// array so the tau prefilter is a branchless compare-and-compress over
-// doubles — the measured SIMD-friendly layout; see EXPERIMENTS.md E27)
-// into a per-shard pool pruned with SelectTopKUnordered, then finishes
-// on its own thread with SelectTopK: the pool becomes a sorted run
-// holding that shard's top-min(k, |pool|), heaviest first (the E24
-// strategy rule applies per run).
+// Slots: the kernel reads elements through a SlotAddressable source —
+// size() dense slots, ElementAt(slot) — and a contiguous array of the
+// slot weights, which is all the tau prefilter reads (a branchless
+// compare-and-compress over doubles: the measured SIMD-friendly layout;
+// see EXPERIMENTS.md E27). A static substrate with stable slots (the
+// PST's nodes_) is its own slot source, so its reduction keeps only the
+// weights; a substrate without stable slots gets a FlatMirror, an owned
+// element copy that models the same concept. FlatSource picks one.
+//
+// Region 1: the slots are cut into 512-slot blocks and shard s scans
+// blocks s, s + S, s + 2S, ... Interleaving balances the shards for any
+// slot order (the PST's preorder clusters by x, so contiguous slices
+// would pile a wide range's matches onto a few shards). Each shard
+// prunes into its own pool with SelectTopKUnordered, then finishes on
+// its own thread with SelectTopK: the pool becomes a sorted run holding
+// that shard's top-min(k, |pool|), heaviest first (the E24 strategy
+// rule applies per run).
 //
 // Region 2: the output is want = min(k, total run length) elements.
 // Shard j owns output ranks [want*j/S, want*(j+1)/S). It finds its
@@ -54,11 +63,13 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -82,13 +93,20 @@ inline constexpr size_t kMaxShards = 32;
 // saves.
 inline constexpr size_t kMinShardedN = 4096;
 
-// Structure-of-arrays copy of an element set for the sharded scan:
-// elements in flat order plus a parallel contiguous weight array (the
-// vectorizable tau prefilter reads ONLY this). Reductions build one at
-// construction (before moving the data into their substrate) and, for
-// dynamic structures, maintain it incrementally: Add appends, Remove is
-// a swap-remove through a lazily built id -> slot index (updates are
-// not the zero-alloc path).
+// A slot source for the kernel: size() dense slots, each holding one
+// element, read by index. Slots never move while the source lives, so
+// slot i's weight can be copied out once (FlatSource's weight array).
+template <typename S, typename E>
+concept SlotAddressable = requires(const S& s, size_t slot) {
+  { s.size() } -> std::convertible_to<size_t>;
+  { s.ElementAt(slot) } -> std::same_as<const E&>;
+};
+
+// Owned slot source for a substrate without stable slots: the elements
+// in flat order plus a parallel contiguous weight array. Dynamic
+// structures maintain it incrementally: Add appends, Remove is a
+// swap-remove through a lazily built id -> slot index (updates are not
+// the zero-alloc path).
 template <typename E>
 class FlatMirror {
  public:
@@ -103,8 +121,8 @@ class FlatMirror {
   }
 
   size_t size() const { return data_.size(); }
-  const E* elements() const { return data_.data(); }
-  const double* weights() const { return weights_.data(); }
+  const E& ElementAt(size_t slot) const { return data_[slot]; }
+  std::span<const double> weights() const { return weights_; }
 
   void Add(const E& e) {
     if (indexed_) index_[e.id] = data_.size();
@@ -143,13 +161,110 @@ class FlatMirror {
   bool indexed_ = false;
 };
 
-// True when a monitored fetch with this budget over n flat elements
-// should run through the sharded kernel: the budget must be
-// unreachable (budget > n, i.e. the fetch is a degenerate full scan —
-// that is what makes the exact-count substitution lossless), a
-// multi-shard context must be present, and the scan must be big enough
-// to amortize the barrier.
-inline bool ShouldShard(Context* par, size_t n, size_t budget) {
+// What a reduction keeps so the kernel can scan its substrate Pri. A
+// SlotAddressable Pri is its own slot source and only its slot weights
+// are kept (8 B per element); any other Pri gets a FlatMirror. Engaged
+// iff the set is big enough to ever shard (n >= kMinShardedN);
+// disengaged, weights() is empty and ShouldShard declines. No pointer
+// into Pri is kept: the caller passes its own Pri to slots() at query
+// time, so moving or copying the reduction cannot leave one dangling.
+template <typename Pri, typename E>
+class FlatSource {
+ public:
+  static constexpr bool kSubstrateSlots = SlotAddressable<Pri, E>;
+
+  // Builds the substrate as make(std::move(data)) and (re)builds this
+  // source beside it: the slot weights read from the built substrate,
+  // or the mirror copied from `data` before it moves.
+  template <typename Make>
+  Pri Build(std::vector<E> data, const Make& make) {
+    if constexpr (kSubstrateSlots) {
+      store_.clear();
+      Pri pri = make(std::move(data));
+      if (pri.size() >= kMinShardedN) {
+        store_.resize(pri.size());
+        for (size_t i = 0; i < store_.size(); ++i) {
+          store_[i] = pri.ElementAt(i).weight;
+        }
+      }
+      return pri;
+    } else {
+      store_.reset();
+      if (data.size() >= kMinShardedN) store_.emplace(data);
+      return make(std::move(data));
+    }
+  }
+
+  std::span<const double> weights() const {
+    if constexpr (kSubstrateSlots) {
+      return store_;
+    } else {
+      return store_.has_value() ? store_->weights()
+                                : std::span<const double>();
+    }
+  }
+
+  // The slot source weights() describes; only valid while engaged.
+  const auto& slots([[maybe_unused]] const Pri& pri) const {
+    if constexpr (kSubstrateSlots) {
+      return pri;
+    } else {
+      TOPK_CHECK(store_.has_value());
+      return *store_;
+    }
+  }
+
+  // Dynamic substrates have no stable slots, so only a mirror follows
+  // their updates.
+  void Add(const E& e)
+    requires(!kSubstrateSlots)
+  {
+    if (store_.has_value()) store_->Add(e);
+  }
+  void Remove(uint64_t id)
+    requires(!kSubstrateSlots)
+  {
+    if (store_.has_value()) store_->Remove(id);
+  }
+
+  // Audit hook for the owning reduction: an engaged source covers every
+  // element of pri, and (under TOPK_AUDIT, O(n)) weights()[i] is the
+  // weight of slot i. A slot-backed source is engaged exactly when pri
+  // is big enough to ever shard.
+  void AuditInvariants(const Pri& pri) const {
+    const std::span<const double> w = weights();
+    if constexpr (kSubstrateSlots) {
+      TOPK_CHECK_EQ(w.empty(), pri.size() < kMinShardedN);
+    }
+    if (w.empty()) return;
+    TOPK_CHECK_EQ(w.size(), pri.size());
+    const auto& s = slots(pri);
+    TOPK_CHECK_EQ(w.size(), s.size());
+#ifdef TOPK_AUDIT
+    for (size_t i = 0; i < w.size(); ++i) {
+      TOPK_CHECK_EQ(w[i], s.ElementAt(i).weight);
+    }
+#endif  // TOPK_AUDIT
+  }
+
+ private:
+  // The slot weights of a SlotAddressable Pri; an owned mirror (element
+  // copy, weights and id -> slot index) for any other.
+  std::conditional_t<kSubstrateSlots, std::vector<double>,
+                     std::optional<FlatMirror<E>>>
+      store_;
+};
+
+// True when a monitored fetch with this budget over the flat source
+// whose slot weights are `weights` should run through the sharded
+// kernel: the source must be engaged and the budget unreachable
+// (budget > n, i.e. the fetch is a degenerate full scan — that is what
+// makes the exact-count substitution lossless), a multi-shard context
+// must be present, and the scan must be big enough to amortize the
+// barrier.
+inline bool ShouldShard(Context* par, std::span<const double> weights,
+                        size_t budget) {
+  const size_t n = weights.size();
   return par != nullptr && par->shards() > 1 && budget > n &&
          n >= kMinShardedN;
 }
@@ -215,23 +330,27 @@ void MergeRuns(const std::span<const E>* runs, size_t shards, size_t* heads,
 
 }  // namespace flat_scan_internal
 
-// Scans `flat` for elements matching `q` with weight >= tau, writes the
-// min(k, matched) heaviest into *out sorted heaviest-first, and returns
-// the EXACT match count. Runs sharded across par's workers when
-// profitable (par may be null: serial). Charges nothing — see the file
-// comment.
-template <typename Problem>
-size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
+// Scans the slots of `slots` (weights[i] is slot i's weight) for
+// elements matching `q` with weight >= tau, writes the min(k, matched)
+// heaviest into *out sorted heaviest-first, and returns the EXACT match
+// count. Runs sharded across par's workers when profitable (par may be
+// null: serial). Charges nothing — see the file comment.
+template <typename Problem, typename Slots>
+  requires SlotAddressable<Slots, typename Problem::Element>
+size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
                         const typename Problem::Predicate& q, double tau,
                         size_t k, Context* par, Scratch* scratch,
                         std::vector<typename Problem::Element>* out) {
   using Element = typename Problem::Element;
-  const size_t n = flat.size();
-  const Element* const elems = flat.elements();
-  const double* const weights = flat.weights();
+  const size_t n = slots.size();
+  TOPK_CHECK_EQ(weights.size(), n);
+  // Survivor indices below are uint32_t.
+  TOPK_CHECK(static_cast<uint64_t>(n) <= (uint64_t{1} << 32));
   const bool thresholded = tau != -std::numeric_limits<double>::infinity();
-  // One prune batch per kBlock elements keeps the idx buffer L1-sized.
+  // The unit of interleaving; one prune batch per block keeps the idx
+  // buffer L1-sized.
   constexpr size_t kBlock = 512;
+  const size_t blocks = (n + kBlock - 1) / kBlock;
 
   size_t shards = 1;
   if (par != nullptr && par->shards() > 1 && n >= kMinShardedN) {
@@ -255,8 +374,6 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
                          : std::max(4 * k, size_t{256});
 
   auto job = [&](size_t s) {
-    const size_t lo = n * s / shards;
-    const size_t hi = n * (s + 1) / shards;
     std::vector<Element>& pool = (*pools[s]).vec();
     std::vector<uint32_t>& idx = (*idxs[s]).vec();
     size_t count = 0;
@@ -276,25 +393,27 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
         have_floor = true;
       }
     };
-    if (!thresholded) {
-      for (size_t i = lo; i < hi; ++i) {
-        if (Problem::Matches(q, elems[i])) consider(elems[i]);
-      }
-    } else {
-      // Branchless compare-and-compress over the contiguous weight
-      // array (the SoA tau prefilter), then the predicate only runs on
-      // survivors. Blocked so idx stays cache-resident.
-      for (size_t base = lo; base < hi; base += kBlock) {
-        const size_t end = base + kBlock < hi ? base + kBlock : hi;
-        size_t m = 0;
+    for (size_t b = s; b < blocks; b += shards) {
+      const size_t base = b * kBlock;
+      const size_t end = base + kBlock < n ? base + kBlock : n;
+      if (!thresholded) {
         for (size_t i = base; i < end; ++i) {
-          idx[m] = static_cast<uint32_t>(i);
-          m += static_cast<size_t>(weights[i] >= tau);
-        }
-        for (size_t j = 0; j < m; ++j) {
-          const Element& e = elems[idx[j]];
+          const Element& e = slots.ElementAt(i);
           if (Problem::Matches(q, e)) consider(e);
         }
+        continue;
+      }
+      // Branchless compare-and-compress over the contiguous weight
+      // array (the tau prefilter), then the predicate only runs on
+      // survivors.
+      size_t m = 0;
+      for (size_t i = base; i < end; ++i) {
+        idx[m] = static_cast<uint32_t>(i);
+        m += static_cast<size_t>(weights[i] >= tau);
+      }
+      for (size_t j = 0; j < m; ++j) {
+        const Element& e = slots.ElementAt(idx[j]);
+        if (Problem::Matches(q, e)) consider(e);
       }
     }
     matched[s] = count;
@@ -338,9 +457,9 @@ size_t FlatScanTopKInto(const FlatMirror<typename Problem::Element>& flat,
   {
     ScratchVec<Element> audit_pool = scratch->Borrow<Element>();
     for (size_t i = 0; i < n; ++i) {
-      if ((!thresholded || weights[i] >= tau) &&
-          Problem::Matches(q, elems[i])) {
-        audit_pool.push_back(elems[i]);
+      const Element& e = slots.ElementAt(i);
+      if ((!thresholded || weights[i] >= tau) && Problem::Matches(q, e)) {
+        audit_pool.push_back(e);
       }
     }
     TOPK_CHECK_EQ(total, audit_pool.size());

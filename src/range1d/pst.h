@@ -34,6 +34,9 @@ class PrioritySearchTree {
   using Predicate = Range1D;
 
   explicit PrioritySearchTree(std::vector<Point1D> data) {
+    // Node links are int32_t.
+    TOPK_CHECK(data.size() <=
+               static_cast<size_t>(std::numeric_limits<int32_t>::max()));
     std::sort(data.begin(), data.end(),
               [](const Point1D& a, const Point1D& b) {
                 if (a.x != b.x) return a.x < b.x;
@@ -44,6 +47,10 @@ class PrioritySearchTree {
   }
 
   size_t size() const { return nodes_.size(); }
+
+  // Slot access (parallel::SlotAddressable): slot i is the i-th node in
+  // build (pre)order. One slot per point, fixed after construction.
+  const Point1D& ElementAt(size_t slot) const { return nodes_[slot].point; }
 
   // Q_pri(n): one root-to-leaf descent, measured in block accesses.
   static double QueryCostBound(size_t n, size_t block_size) {

@@ -11,12 +11,15 @@
 // Skipped under ASan/TSan: sanitizers interpose on the allocator and
 // replacing operator new underneath them is not supported.
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -60,23 +63,39 @@ namespace {
 // Relaxed is enough: the measured window is bracketed by the
 // QueryBatchInto barrier, which orders the workers' counts.
 std::atomic<uint64_t> g_alloc_count{0};
+// Live heap bytes (malloc_usable_size of every block operator new
+// handed out and operator delete has not yet taken back).
+std::atomic<int64_t> g_live_bytes{0};
 }  // namespace
 
 #ifndef TOPK_ALLOC_COUNTING_DISABLED
 // Counting allocator: every allocation in the process ticks the
-// counter. Aligned (over-aligned-type) variants are intentionally NOT
-// replaced — the default ones are malloc-family too, so the pairs stay
-// consistent — and nothing on the query path uses over-aligned types.
+// counter and adds its usable size to the live bytes. Aligned
+// (over-aligned-type) variants are intentionally NOT replaced — the
+// default ones are malloc-family too, so the pairs stay consistent —
+// and nothing on the query path uses over-aligned types.
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+  }
   std::abort();  // no exceptions in this codebase
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 #endif  // !TOPK_ALLOC_COUNTING_DISABLED
 
 namespace topk {
@@ -201,7 +220,7 @@ void ExpectZeroAllocSteadyStateThreaded(const Structure& s) {
 // every per-shard pool from the request worker's own Scratch, so once
 // Warmup() has primed the arenas (pools never shrink) a warm engine
 // with intra_query_workers > 1 also serves at exactly 0 allocs/request.
-// Needs n >= parallel::kMinShardedN so the mirrors engage, and deep ks
+// Needs n >= parallel::kMinShardedN so the flat sources engage, and deep ks
 // (k >= n/2 and k > |q(D)|) so the degenerate fetches actually shard;
 // one request worker keeps assignment deterministic while the shard
 // helpers run the measured window concurrently.
@@ -297,7 +316,7 @@ TEST(AllocRegression, ScanAndHeapSelectZeroSteadyStateAllocs) {
   ExpectZeroAllocSteadyStateThreaded(heap);
 }
 
-// Sharded-kernel data: big enough for every mirror to engage.
+// Sharded-kernel data: big enough for every flat source to engage.
 std::vector<Point1D> ShardableData(size_t n = 5000) {
   Rng rng(4321);
   return test::ClumpedPoints1D(n, &rng);
@@ -346,6 +365,84 @@ TEST(AllocRegression, ShardedMergeZeroSteadyStateAllocs) {
   {
     Counting s(ShardableData(kDeepN));
     ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
+  }
+}
+
+// Live heap bytes `make()`'s result holds while it is alive.
+template <typename Make>
+int64_t HeldBytes(const Make& make) {
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  const auto held = make();
+  return g_live_bytes.load(std::memory_order_relaxed) - before;
+}
+
+// Space pin for S_top = O(S_pri): a static reduction over a
+// SlotAddressable substrate (the PST) scans the substrate's own slots,
+// so beyond a bare PST on the same data it holds only its sorted
+// weights, its slot weights (8 B per element of every level big enough
+// to shard) and its sample levels — no element copy. Each part is
+// measured from a bare instance of the same size; a FlatMirror's
+// element copy (24 B per element of every such level) would overshoot
+// the bound by far more than its fixed slack.
+TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  constexpr size_t kSpaceN = size_t{1} << 15;
+  constexpr int64_t kSlack = 16 << 10;  // level/chain headers
+  const std::vector<Point1D> data = ShardableData(kSpaceN);
+  auto prefix = [&data](size_t m) {
+    return std::vector<Point1D>(data.begin(), data.begin() + m);
+  };
+  auto pst_bytes = [&](size_t m) {
+    return HeldBytes([&] { return PrioritySearchTree(prefix(m)); });
+  };
+  auto weight_bytes = [](size_t m) {
+    return HeldBytes([m] { return std::vector<double>(m); });
+  };
+  auto slot_weight_bytes = [&](size_t m) {
+    return m >= parallel::kMinShardedN ? weight_bytes(m) : int64_t{0};
+  };
+  const int64_t bare = pst_bytes(kSpaceN);
+
+  {
+    const Thm1 thm1(data);
+    int64_t bound = weight_bytes(kSpaceN) + kSlack;  // sorted weights
+    auto add_chain = [&](const TopFChain<Range1DProblem,
+                                         PrioritySearchTree>& chain,
+                         bool shares_bare_level) {
+      for (size_t j = 0; j < chain.num_levels(); ++j) {
+        const size_t m = chain.level_size(j);
+        if (j > 0 || !shares_bare_level) bound += pst_bytes(m);
+        bound += slot_weight_bytes(m);
+      }
+    };
+    add_chain(thm1.small_k_chain(), true);
+    for (size_t i = 0; i < thm1.num_large_k_core_sets(); ++i) {
+      add_chain(thm1.large_k_chain(i), false);
+    }
+    const int64_t extra = HeldBytes([&] { return Thm1(data); }) - bare;
+    RecordProperty("thm1_extra_bytes", std::to_string(extra));
+    RecordProperty("thm1_bound_bytes", std::to_string(bound));
+    EXPECT_LE(extra, bound) << "Thm 1 holds " << extra
+                            << " B beyond a bare PST";
+  }
+
+  {
+    const Thm2 thm2(data);
+    int64_t bound = slot_weight_bytes(kSpaceN) + kSlack;
+    for (size_t i = 0; i < thm2.num_sample_levels(); ++i) {
+      const size_t m = thm2.sample_level_size(i);
+      // Samples are push_back-grown, as SampledTopK draws them.
+      bound += HeldBytes([&] {
+        std::vector<Point1D> sample;
+        for (size_t j = 0; j < m; ++j) sample.push_back(data[j]);
+        return RangeMax(std::move(sample));
+      });
+    }
+    const int64_t extra = HeldBytes([&] { return Thm2(data); }) - bare;
+    RecordProperty("thm2_extra_bytes", std::to_string(extra));
+    RecordProperty("thm2_bound_bytes", std::to_string(bound));
+    EXPECT_LE(extra, bound) << "Thm 2 holds " << extra
+                            << " B beyond a bare PST";
   }
 }
 

@@ -36,6 +36,7 @@
 #include "interval/interval_tree_stab.h"
 #include "interval/seg_stab.h"
 #include "interval/stab_max.h"
+#include "parallel/flat_scan.h"
 #include "range1d/count_tree.h"
 #include "range1d/direct_topk.h"
 #include "range1d/dyn_pst.h"
@@ -153,6 +154,22 @@ struct BrokenInsertOnly {
 static_assert(!DynamicStructure<BrokenInsertOnly, Range1DProblem>);
 static_assert(DynamicStructure<range1d::DynamicPst, Range1DProblem>);
 static_assert(!DynamicStructure<PrioritySearchTree, Range1DProblem>);
+
+// Slot sources of the sharded flat kernel: the static PST (and its
+// audited wrapper) is its own, the owned mirror is one, a dynamic PST
+// has no stable slots, and a slot read by value is no slot.
+static_assert(parallel::SlotAddressable<PrioritySearchTree, Point1D>);
+static_assert(parallel::SlotAddressable<
+              audit::CheckedPrioritized<PrioritySearchTree, Range1DProblem>,
+              Point1D>);
+static_assert(parallel::SlotAddressable<parallel::FlatMirror<Point1D>,
+                                        Point1D>);
+static_assert(!parallel::SlotAddressable<range1d::DynamicPst, Point1D>);
+struct BrokenSlotByValue {
+  size_t size() const { return 0; }
+  Point1D ElementAt(size_t) const { return {}; }
+};
+static_assert(!parallel::SlotAddressable<BrokenSlotByValue, Point1D>);
 
 // A problem without the polynomial-boundedness exponent.
 struct BrokenProblemNoLambda {

@@ -90,6 +90,7 @@ template <typename S>
 void ExpectParallelMatchesSerial(const S& s,
                                  const std::vector<Point1D>& data,
                                  uint64_t seed) {
+  s.AuditInvariants();  // flat source vs the substrate's slots
   const size_t n = data.size();
   Rng rng(seed);
   parallel::Context two(2);
@@ -251,7 +252,7 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
       for (parallel::Context* par :
            {static_cast<parallel::Context*>(nullptr), &three, &eight}) {
         const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-            mirror, q, tau, k, par, &scratch, &got);
+            mirror, mirror.weights(), q, tau, k, par, &scratch, &got);
         EXPECT_EQ(matched, matches.size());
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "k=" << k << " tau=" << tau;
@@ -264,8 +265,10 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
 // k below the shard count, k at half the matches (deep enough that the
 // merge is split across shards once the output reaches kMinShardedN),
 // k around the match count (pools never pruned, every run kept whole),
-// and k = SIZE_MAX. The x-sorted generator gives each shard its own
-// x-slice, so narrow ranges leave most shards with empty runs.
+// and k = SIZE_MAX. Over the x-sorted input an x-range is a run of
+// consecutive slots, so narrow ranges leave most shards with empty runs
+// — with interleaved 512-slot blocks, a range inside one block leaves
+// every shard but one empty (asserted below).
 TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
   constexpr size_t kN = 12000;
   static_assert(kN / 2 >= parallel::kMinShardedN);
@@ -277,14 +280,25 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
   const std::vector<std::vector<Point1D>> inputs = {
       sorted_by_x, SaturatedTies(kN, &rng)};
   const double x_max = static_cast<double>(kN / 4);
+  // Slots [600, 900) of the x-sorted input: inside block 1.
+  const Range1D one_block{sorted_by_x[600].x, sorted_by_x[900].x};
+  size_t first_slot = kN;
+  size_t last_slot = 0;
+  for (size_t i = 0; i < kN; ++i) {
+    if (!Range1DProblem::Matches(one_block, sorted_by_x[i])) continue;
+    first_slot = std::min(first_slot, i);
+    last_slot = std::max(last_slot, i);
+  }
+  ASSERT_EQ(first_slot / 512, last_slot / 512);
   struct Cut {
     Range1D q;
     double tau;
   };
   const Cut cuts[] = {
       {{-kInf, kInf}, -kInf},             // every element matches
-      {{0.0, x_max / 5}, -kInf},          // first shards only
-      {{x_max * 0.9, x_max}, -kInf},      // last shards only
+      {{0.0, x_max / 5}, -kInf},          // the first fifth of x
+      {{x_max * 0.9, x_max}, -kInf},      // the last tenth of x
+      {one_block, -kInf},                 // one block's worth of slots
       {{x_max / 2, x_max / 2 + 1}, -kInf},  // a handful of matches
       {{x_max + 1, x_max + 2}, -kInf},    // nothing matches
       {{0.0, x_max}, 2.0},                // tau on a weight plateau
@@ -313,7 +327,8 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
           std::vector<Point1D> want = matches;
           if (want.size() > k) want.resize(k);
           const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-              mirror, cut.q, cut.tau, k, &par, &scratch, &got);
+              mirror, mirror.weights(), cut.q, cut.tau, k, &par, &scratch,
+              &got);
           EXPECT_EQ(matched, m);
           ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
               << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
@@ -338,12 +353,72 @@ TEST(FlatScan, HugeKNeverPrunesAwayMatches) {
                     std::numeric_limits<double>::infinity()};
   const size_t k = (size_t{1} << 62) + 1;
   const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-      mirror, all, -std::numeric_limits<double>::infinity(), k, &three,
-      &scratch, &got);
+      mirror, mirror.weights(), all,
+      -std::numeric_limits<double>::infinity(), k, &three, &scratch, &got);
   EXPECT_EQ(matched, data.size());
   ASSERT_EQ(got.size(), data.size());
   EXPECT_EQ(test::IdsOf(got),
             test::IdsOf(test::BruteTopK<Range1DProblem>(data, all, k)));
+}
+
+// The substrate's own slots and an owned mirror are interchangeable slot
+// sources. The PST's slots are in build preorder, which clusters by x
+// (unlike the mirror's input order), so at every shard count both must
+// give the exact count and the exact ids of brute force.
+TEST(FlatScan, SubstrateSlotsMatchOwnedMirror) {
+  constexpr size_t kN = 10000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(105);
+  const std::vector<std::vector<Point1D>> inputs = {
+      test::ClumpedPoints1D(kN, &rng), SaturatedTies(kN, &rng)};
+  const double x_max = static_cast<double>(kN / 4);
+  struct Cut {
+    Range1D q;
+    double tau;
+  };
+  const Cut cuts[] = {
+      {{-kInf, kInf}, -kInf},            // every element matches
+      {{0.0, x_max / 3}, -kInf},         // one x-cluster of the preorder
+      {{x_max / 4, x_max * 3 / 4}, 2.0},  // tau on a weight plateau
+      {{0.0, x_max}, 3.0},               // thresholded, nearly everything
+  };
+  Scratch scratch;
+  std::vector<Point1D> from_slots;
+  std::vector<Point1D> from_mirror;
+  for (const std::vector<Point1D>& data : inputs) {
+    const PrioritySearchTree pst(data);
+    ASSERT_EQ(pst.size(), kN);
+    std::vector<double> slot_weights(kN);
+    for (size_t i = 0; i < kN; ++i) slot_weights[i] = pst.ElementAt(i).weight;
+    const parallel::FlatMirror<Point1D> mirror(data);
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                          size_t{8}}) {
+      parallel::Context par(shards);
+      for (const Cut& cut : cuts) {
+        const std::vector<Point1D> matches =
+            test::BrutePrioritized<Range1DProblem>(data, cut.q, cut.tau);
+        const size_t m = matches.size();
+        for (size_t k : {size_t{1}, size_t{64}, m / 2, m + 1}) {
+          std::vector<Point1D> want = matches;
+          SelectTopK(&want, k);
+          const size_t slots_matched =
+              parallel::FlatScanTopKInto<Range1DProblem>(
+                  pst, slot_weights, cut.q, cut.tau, k, &par, &scratch,
+                  &from_slots);
+          const size_t mirror_matched =
+              parallel::FlatScanTopKInto<Range1DProblem>(
+                  mirror, mirror.weights(), cut.q, cut.tau, k, &par,
+                  &scratch, &from_mirror);
+          EXPECT_EQ(slots_matched, m);
+          EXPECT_EQ(mirror_matched, m);
+          ASSERT_EQ(test::IdsOf(from_slots), test::IdsOf(want))
+              << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
+              << "," << cut.q.hi << "] tau=" << cut.tau;
+          ASSERT_EQ(test::IdsOf(from_mirror), test::IdsOf(from_slots));
+        }
+      }
+    }
+  }
 }
 
 TEST(FlatScan, DynamicMirrorTracksAddRemove) {
@@ -375,8 +450,8 @@ TEST(FlatScan, DynamicMirrorTracksAddRemove) {
     std::vector<Point1D> want =
         test::BruteTopK<Range1DProblem>(data, q, 64);
     const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-        mirror, q, -std::numeric_limits<double>::infinity(), 64, &four,
-        &scratch, &got);
+        mirror, mirror.weights(), q,
+        -std::numeric_limits<double>::infinity(), 64, &four, &scratch, &got);
     EXPECT_EQ(matched,
               test::BrutePrioritized<Range1DProblem>(
                   data, q, -std::numeric_limits<double>::infinity())
