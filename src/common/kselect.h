@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/scratch.h"
 #include "common/weighted.h"
 
 namespace topk {
@@ -80,25 +79,6 @@ void SelectTopK(std::vector<E>* pool, size_t k) {
   }
   SelectTopKUnordered(pool, k);
   std::sort(pool->begin(), pool->end(), ByWeightDesc());
-}
-
-// In-place forms on a borrowed scratch pool (the zero-allocation query
-// path threads ScratchVec candidate pools through here).
-template <typename E>
-void SelectTopKUnordered(ScratchVec<E>* pool, size_t k) {
-  SelectTopKUnordered(&pool->vec(), k);
-}
-
-template <typename E>
-void SelectTopK(ScratchVec<E>* pool, size_t k) {
-  SelectTopK(&pool->vec(), k);
-}
-
-// Convenience value-returning form.
-template <typename E>
-std::vector<E> TopKOf(std::vector<E> pool, size_t k) {
-  SelectTopK(&pool, k);
-  return pool;
 }
 
 }  // namespace topk

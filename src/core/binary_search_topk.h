@@ -19,12 +19,10 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/kselect.h"
 #include "common/scratch.h"
 #include "common/stats.h"
 #include "core/factory.h"
@@ -88,15 +86,8 @@ void BinarySearchTopKQueryInto(
   const double tau = (lo < weights_desc.size())
                          ? weights_desc[lo]
                          : -std::numeric_limits<double>::infinity();
-  if (parallel::ShouldShard(par, flat.weights(), pri.size() + 1)) {
-    ShardedFetchInto<Problem>(flat.slots(pri), flat.weights(), q, tau, k,
-                              par, scratch, out, stats, tracer);
-    return;
-  }
-  MonitoredPool<Element> fin =
-      MonitoredQuery(pri, q, tau, pri.size() + 1, scratch, stats, tracer);
-  SelectTopK(&fin.elements, k);
-  out->assign(fin.elements.begin(), fin.elements.end());
+  FetchTopKInto<Problem>(pri, flat, q, tau, pri.size() + 1, k, scratch, out,
+                         stats, tracer, par);
 }
 
 // Self-contained baseline structure: owns the prioritized structure and

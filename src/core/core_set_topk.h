@@ -31,12 +31,10 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/kselect.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
@@ -152,7 +150,6 @@ class CoreSetTopK {
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     const Pri& pri = chain_->level0();
     const parallel::FlatSource<Pri, Element>& flat = chain_->level0_flat();
-    const std::span<const double> weights = flat.weights();
     trace::Span span(tracer, "thm1_query", stats);
     span.Arg("k", k);
 
@@ -172,15 +169,8 @@ class CoreSetTopK {
       // Read everything: O(n/B) = O(k/B).
       span.Arg("full_scan", 1);
       if (stats != nullptr) ++stats->full_scans;
-      if (parallel::ShouldShard(par, weights, n_ + 1)) {
-        ShardedFetchInto<Problem>(flat.slots(pri), weights, q, kNegInf, k,
-                                  par, scratch, out, stats, tracer);
-        return;
-      }
-      MonitoredPool<Element> all =
-          MonitoredQuery(pri, q, kNegInf, n_ + 1, scratch, stats, tracer);
-      SelectTopK(&all.elements, k);
-      out->assign(all.elements.begin(), all.elements.end());
+      FetchTopKInto<Problem>(pri, flat, q, kNegInf, n_ + 1, k, scratch, out,
+                             stats, tracer, par);
       return;
     }
 
@@ -197,23 +187,11 @@ class CoreSetTopK {
     // this query probed — the per-query attribution E23 cares about.
     span.Arg("core_set_level", i);
     const size_t budget = static_cast<size_t>(4.0 * K) + 1;
-    if (parallel::ShouldShard(par, weights, budget)) {
-      const size_t matched =
-          ShardedFetchInto<Problem>(flat.slots(pri), weights, q, kNegInf, k,
-                                    par, scratch, out, stats, tracer);
-      // matched < budget <=> the serial probe completes under budget
-      // and *out already holds its k-selection.
-      if (matched < budget) return;
-      out->clear();  // budget hit: continue to the ladder
-    } else {
-      MonitoredPool<Element> probe =
-          MonitoredQuery(pri, q, kNegInf, budget, scratch, stats, tracer);
-      if (!probe.hit_budget) {
-        SelectTopK(&probe.elements, k);
-        out->assign(probe.elements.begin(), probe.elements.end());
-        return;
-      }
-    }  // budget-hit probe pool returns to the arena before the ladder
+    if (!FetchTopKInto<Problem>(pri, flat, q, kNegInf, budget, k, scratch,
+                                out, stats, tracer, par)
+             .hit_budget) {
+      return;
+    }
     if (i == 0 || i > large_k_chains_.size()) {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
       return;
@@ -233,25 +211,12 @@ class CoreSetTopK {
 
     // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
     const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
-    if (parallel::ShouldShard(par, weights, fetch_budget)) {
-      const size_t matched =
-          ShardedFetchInto<Problem>(flat.slots(pri), weights, q, tau, k, par,
-                                    scratch, out, stats, tracer);
-      // hit_budget <=> matched >= fetch_budget; |fetched| < k <=>
-      // matched < k — the same two failure tests as the serial path.
-      if (matched >= fetch_budget || matched < k) {
-        FallbackInto(q, k, scratch, out, stats, tracer, par);
-      }
-      return;
-    }
-    MonitoredPool<Element> fetched = MonitoredQuery(
-        pri, q, tau, fetch_budget, scratch, stats, tracer);
-    if (fetched.hit_budget || fetched.elements.size() < k) {
+    const FetchVerdict fetched =
+        FetchTopKInto<Problem>(pri, flat, q, tau, fetch_budget, k, scratch,
+                               out, stats, tracer, par, /*min_matched=*/k);
+    if (fetched.hit_budget || fetched.matched < k) {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
-      return;
     }
-    SelectTopK(&fetched.elements, k);
-    out->assign(fetched.elements.begin(), fetched.elements.end());
   }
 
  private:

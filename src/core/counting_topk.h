@@ -28,12 +28,10 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/kselect.h"
 #include "common/scratch.h"
 #include "common/stats.h"
 #include "core/factory.h"
@@ -105,15 +103,8 @@ class CountingTopK {
     }
     const double tau = lo < weights_desc_.size() ? weights_desc_[lo]
                                                  : kNegInf;
-    if (parallel::ShouldShard(par, flat_.weights(), n_ + 1)) {
-      ShardedFetchInto<Problem>(flat_.slots(pri_), flat_.weights(), q, tau,
-                                k, par, scratch, out, stats, tracer);
-      return;
-    }
-    MonitoredPool<Element> fetched =
-        MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats, tracer);
-    SelectTopK(&fetched.elements, k);
-    out->assign(fetched.elements.begin(), fetched.elements.end());
+    FetchTopKInto<Problem>(pri_, flat_, q, tau, n_ + 1, k, scratch, out,
+                           stats, tracer, par);
   }
 
  private:

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/kselect.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
@@ -215,33 +214,15 @@ class SampledTopK {
       round.Arg("K", static_cast<uint64_t>(level.K));
 
       // Step 1: if |q(D)| <= 4K_j the monitored query completes. A
-      // degenerate round (4K_j + 1 > n: the budget is unreachable, the
-      // probe is a monitored full fetch) runs through the sharded
-      // kernel instead — the exact count reproduces the completion
-      // test, and since matched <= n < budget the round always ends
-      // here, so steps 2-4 (whose fetch shares this budget) are never
-      // reached sharded.
-      if (parallel::ShouldShard(par, flat_.weights(), budget)) {
-        const size_t matched = ShardedFetchInto<Problem>(
-            flat_.slots(*pri_), flat_.weights(), q, kNegInf, k, par,
-            scratch, out, stats, tracer);
-        if (matched < budget) {
-          round.Arg("verdict", kRoundProbeComplete);
-          return;
-        }
-        out->clear();  // unreachable (budget > n_); protocol safety
-      } else {
-        // Step 1, serial.
-        MonitoredPool<Element> probe =
-            MonitoredQuery(*pri_, q, kNegInf, budget, scratch, stats,
-                           tracer);
-        if (!probe.hit_budget) {
-          round.Arg("verdict", kRoundProbeComplete);
-          SelectTopK(&probe.elements, k);
-          out->assign(probe.elements.begin(), probe.elements.end());
-          return;
-        }
-      }  // budget-hit probe pool returns to the arena before step 3
+      // degenerate round (4K_j + 1 > n: the budget is unreachable) always
+      // completes here, so steps 2-4 (whose fetch shares this budget)
+      // never see a fetch the primitive would shard.
+      if (!FetchTopKInto<Problem>(*pri_, flat_, q, kNegInf, budget, k,
+                                  scratch, out, stats, tracer, par)
+               .hit_budget) {
+        round.Arg("verdict", kRoundProbeComplete);
+        return;
+      }
 
       // Step 2: heaviest sampled element under q.
       if (stats != nullptr) ++stats->max_queries;
@@ -253,17 +234,15 @@ class SampledTopK {
       }
 
       // Step 3: fetch everything at least as heavy as the sample max.
-      MonitoredPool<Element> fetched =
-          MonitoredQuery(*pri_, q, e->weight, budget, scratch, stats,
-                         tracer);
-
       // Step 4: succeeded iff completed with |S| > K_j (Lemma 3's rank
       // window guarantees the top-k are inside S then).
-      if (!fetched.hit_budget &&
-          static_cast<double>(fetched.elements.size()) > level.K) {
+      const size_t min_matched = static_cast<size_t>(level.K) + 1;
+      const FetchVerdict fetched =
+          FetchTopKInto<Problem>(*pri_, flat_, q, e->weight, budget, k,
+                                 scratch, out, stats, tracer, par,
+                                 min_matched);
+      if (!fetched.hit_budget && fetched.matched >= min_matched) {
         round.Arg("verdict", kRoundSuccess);
-        SelectTopK(&fetched.elements, k);
-        out->assign(fetched.elements.begin(), fetched.elements.end());
         return;
       }
       round.Arg("verdict", kRoundMiss);
@@ -383,16 +362,8 @@ class SampledTopK {
     if (stats != nullptr) ++stats->full_scans;
     // Budget n + 1 is always degenerate: the terminal scan is the
     // sharded kernel's home turf.
-    if (parallel::ShouldShard(par, flat_.weights(), n_ + 1)) {
-      ShardedFetchInto<Problem>(flat_.slots(*pri_), flat_.weights(), q,
-                                kNegInf, k, par, scratch, out, stats,
-                                tracer);
-      return;
-    }
-    MonitoredPool<Element> all =
-        MonitoredQuery(*pri_, q, kNegInf, n_ + 1, scratch, stats, tracer);
-    SelectTopK(&all.elements, k);
-    out->assign(all.elements.begin(), all.elements.end());
+    FetchTopKInto<Problem>(*pri_, flat_, q, kNegInf, n_ + 1, k, scratch, out,
+                           stats, tracer, par);
   }
 
   // Global rebuilding keeps the K_i ladder matched to the current n;

@@ -25,12 +25,10 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/kselect.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
@@ -149,26 +147,13 @@ class TopFChain {
     trace::Span span(tracer, "topf_level", stats);
     span.Arg("level", j);
     span.Arg("n", level.n);
-    // When f is degenerate (4f + 1 > n_j: the probe budget is
-    // unreachable and the serial probe is a monitored full fetch), the
-    // level walk runs sharded over the level's flat source. The exact
-    // match count reproduces the serial protocol decisions 1:1.
-    const std::span<const double> weights = level.flat.weights();
-    if (parallel::ShouldShard(par, weights, 4 * f_ + 1)) {
-      {
-        ScratchVec<Element> top = scratch->Borrow<Element>();
-        const size_t matched = ShardedFetchInto<Problem>(
-            level.flat.slots(level.pri), weights, q, kNegInf, f_, par,
-            scratch, &top.vec(), stats, tracer);
-        // matched <= 4f <=> the serial probe completes under budget.
-        if (matched <= 4 * f_) return top;
-      }  // oversized probe pool returns to the arena before recursing
-    } else {
-      MonitoredPool<Element> r = MonitoredQuery(
-          level.pri, q, kNegInf, 4 * f_ + 1, scratch, stats, tracer);
-      if (!r.hit_budget) {
-        SelectTopK(&r.elements, f_);
-        return std::move(r.elements);
+    {
+      ScratchVec<Element> probe = scratch->Borrow<Element>();
+      if (!FetchTopKInto<Problem>(level.pri, level.flat, q, kNegInf,
+                                  4 * f_ + 1, f_, scratch, &probe, stats,
+                                  tracer, par)
+               .hit_budget) {
+        return probe;
       }
     }  // budget-hit probe pool returns to the arena before recursing
     if (j + 1 >= levels_.size()) return std::nullopt;  // truncated chain
@@ -183,21 +168,14 @@ class TopFChain {
 
     // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.; allow
     // 2x slack before declaring the sample bad.
-    if (parallel::ShouldShard(par, weights, 8 * f_ + 1)) {
-      ScratchVec<Element> top = scratch->Borrow<Element>();
-      const size_t matched = ShardedFetchInto<Problem>(
-          level.flat.slots(level.pri), weights, q, tau, f_, par, scratch,
-          &top.vec(), stats, tracer);
-      if (matched > 8 * f_) return std::nullopt;  // rank too deep
-      if (matched < f_) return std::nullopt;      // rank too high
-      return top;
-    }
-    MonitoredPool<Element> fetched = MonitoredQuery(
-        level.pri, q, tau, 8 * f_ + 1, scratch, stats, tracer);
-    if (fetched.hit_budget) return std::nullopt;          // rank too deep
-    if (fetched.elements.size() < f_) return std::nullopt;  // rank too high
-    SelectTopK(&fetched.elements, f_);
-    return std::move(fetched.elements);
+    ScratchVec<Element> top = scratch->Borrow<Element>();
+    const FetchVerdict fetched =
+        FetchTopKInto<Problem>(level.pri, level.flat, q, tau, 8 * f_ + 1, f_,
+                               scratch, &top, stats, tracer, par,
+                               /*min_matched=*/f_);
+    if (fetched.hit_budget) return std::nullopt;  // rank too deep
+    if (fetched.matched < f_) return std::nullopt;  // rank too high
+    return top;
   }
 
   size_t f_;

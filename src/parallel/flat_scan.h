@@ -1,13 +1,14 @@
 // Sharded flat scan: the parallel kernel behind every degenerate
 // monitored fetch.
 //
-// When a reduction issues MonitoredQuery with budget > n (Theorem 1's
-// k >= n/2 full scan and its large-k fallback fetches, TopFChain level
-// walks at degenerate f, Theorem 2's terminal scan, CountingTopK's
-// final tally, BinarySearchTopK's unbudgeted fetch), the budget is
-// unreachable: the call is exactly "count the tau-qualifying matches
-// and keep the k heaviest". That computation is embarrassingly
-// parallel, and FlatScanTopKInto runs it sharded in two regions:
+// When a reduction's monitored top-k fetch (core/sink.h FetchTopKInto)
+// has budget > n (Theorem 1's k >= n/2 full scan and its large-k
+// fallback fetches, TopFChain level walks at degenerate f, Theorem 2's
+// terminal scan, CountingTopK's final tally, BinarySearchTopK's
+// unbudgeted fetch), the budget is unreachable: the call is exactly
+// "count the tau-qualifying matches and keep the k heaviest". That
+// computation is embarrassingly parallel, and FlatScanTopKInto runs it
+// sharded in two regions:
 //
 //   shard -> sorted local run | co-ranked split -> sharded merge.
 //
@@ -47,10 +48,10 @@
 // decision the monitored query would have made (hit_budget <=> count
 // >= budget).
 //
-// Accounting: this kernel charges NOTHING. The calling reduction
-// charges the issuance through ChargeFlatScan (core/sink.h — the single
-// charge site) after the merge, under one "flat_scan" span opened on
-// the calling thread, so span self-costs still telescope to QueryStats
+// Accounting: this kernel charges NOTHING. FetchTopKInto (core/sink.h —
+// the single charge site) decides when to run it and charges the
+// issuance after the merge, under one "flat_scan" span opened on the
+// calling thread, so span self-costs still telescope to QueryStats
 // totals and helpers never touch stats or tracers.
 //
 // Scratch: all shard pools are borrowed from the QUERY's Scratch by the
@@ -165,7 +166,7 @@ class FlatMirror {
 // SlotAddressable Pri is its own slot source and only its slot weights
 // are kept (8 B per element); any other Pri gets a FlatMirror. Engaged
 // iff the set is big enough to ever shard (n >= kMinShardedN);
-// disengaged, weights() is empty and ShouldShard declines. No pointer
+// disengaged, weights() is empty and no fetch shards. No pointer
 // into Pri is kept: the caller passes its own Pri to slots() at query
 // time, so moving or copying the reduction cannot leave one dangling.
 template <typename Pri, typename E>
@@ -254,20 +255,6 @@ class FlatSource {
                      std::optional<FlatMirror<E>>>
       store_;
 };
-
-// True when a monitored fetch with this budget over the flat source
-// whose slot weights are `weights` should run through the sharded
-// kernel: the source must be engaged and the budget unreachable
-// (budget > n, i.e. the fetch is a degenerate full scan — that is what
-// makes the exact-count substitution lossless), a multi-shard context
-// must be present, and the scan must be big enough to amortize the
-// barrier.
-inline bool ShouldShard(Context* par, std::span<const double> weights,
-                        size_t budget) {
-  const size_t n = weights.size();
-  return par != nullptr && par->shards() > 1 && budget > n &&
-         n >= kMinShardedN;
-}
 
 namespace flat_scan_internal {
 
@@ -463,7 +450,7 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
       }
     }
     TOPK_CHECK_EQ(total, audit_pool.size());
-    SelectTopK(&audit_pool, k);
+    SelectTopK(&audit_pool.vec(), k);
     TOPK_CHECK_EQ(out->size(), audit_pool.size());
     for (size_t i = 0; i < audit_pool.size(); ++i) {
       TOPK_CHECK_EQ((*out)[i].id, audit_pool[i].id);

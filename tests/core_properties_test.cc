@@ -20,12 +20,14 @@
 
 #include "audit/checked_prioritized.h"
 #include "circle/circular.h"
+#include "common/kselect.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
+#include "core/factory.h"
 #include "core/problem.h"
 #include "core/sampled_topk.h"
 #include "core/scan_topk.h"
@@ -36,6 +38,7 @@
 #include "interval/interval_tree_stab.h"
 #include "interval/seg_stab.h"
 #include "interval/stab_max.h"
+#include "parallel/context.h"
 #include "parallel/flat_scan.h"
 #include "range1d/count_tree.h"
 #include "range1d/direct_topk.h"
@@ -256,8 +259,9 @@ static_assert(!TopKStructure<BrokenCountingTail>);
 // answer in a mutable member — correct single-threaded, a data race under the
 // engine. Its mutable query state is declared via the kThreadSafeQuery
 // marker and the gate rejects it. (The *undeclared* variant — a mutable
-// member with no marker — is exactly what tools/lint.py's mutable-member
-// check flags in src/; the type system cannot see it.)
+// member with no marker in its own class — is exactly what
+// tools/analyze.py's per-class posture rule flags in src/; the type
+// system cannot see it.)
 class MemoizedTopK {
  public:
   using Element = Point1D;
@@ -276,7 +280,7 @@ class MemoizedTopK {
 
  private:
   std::vector<Point1D> data_;
-  mutable std::vector<Point1D> cache_;  // lint: mutable-ok (marker above)
+  mutable std::vector<Point1D> cache_;
 };
 static_assert(TopKStructure<MemoizedTopK>);
 static_assert(!serve::ShareableTopKStructure<MemoizedTopK>);
@@ -351,6 +355,60 @@ TEST(MonitoredQuery, BudgetBoundaries) {
   auto r101 = MonitoredQuery(pst, all, kNegInf, 101, &scratch, nullptr);
   EXPECT_FALSE(r101.hit_budget);
   EXPECT_EQ(r101.elements.size(), 100u);
+}
+
+// FetchTopKInto at the budget edges, serial vs sharded: budget ==
+// matched is hit (empty *out), matched + 1 completes serially, and
+// n + 1 is the degenerate fetch a multi-shard context runs as the flat
+// kernel. A complete fetch below min_matched keeps its exact count but
+// hands back nothing. Both paths must give the brute-force verdict and
+// answer.
+TEST(FetchTopKInto, BudgetBoundariesSerialVsSharded) {
+  Rng rng(4);
+  const std::vector<Point1D> data =
+      test::RandomPoints1D(parallel::kMinShardedN + 1000, &rng);
+  parallel::FlatSource<PrioritySearchTree, Point1D> flat;
+  const PrioritySearchTree pst =
+      flat.Build(data, DirectFactory<PrioritySearchTree>{});
+  ASSERT_EQ(flat.weights().size(), data.size());  // engaged
+  const Range1D q{0.2, 0.7};
+  const size_t k = 50;
+  parallel::Context two(2);
+  parallel::Context* const contexts[] = {nullptr, &two};
+  Scratch scratch;
+  for (const double tau : {kNegInf, 500.0}) {
+    std::vector<Point1D> want;
+    for (const Point1D& p : data) {
+      if (Range1DProblem::Matches(q, p) && p.weight >= tau) want.push_back(p);
+    }
+    const size_t matched = want.size();
+    ASSERT_GT(matched, k);
+    SelectTopK(&want, k);
+    for (const size_t budget : {matched, matched + 1, data.size() + 1}) {
+      for (const size_t min_matched : {size_t{0}, matched + 1}) {
+        const bool hit = budget == matched;
+        const bool kept = !hit && min_matched <= matched;
+        for (parallel::Context* par : contexts) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tau=" << tau << " budget=" << budget
+                       << " min_matched=" << min_matched
+                       << " shards=" << (par == nullptr ? 1 : 2));
+          std::vector<Point1D> got;
+          const FetchVerdict v = FetchTopKInto<Range1DProblem>(
+              pst, flat, q, tau, budget, k, &scratch, &got, nullptr,
+              nullptr, par, min_matched);
+          EXPECT_EQ(v.hit_budget, hit);
+          if (hit) {
+            EXPECT_GE(v.matched, budget);
+          } else {
+            EXPECT_EQ(v.matched, matched);
+          }
+          EXPECT_EQ(test::IdsOf(got),
+                    kept ? test::IdsOf(want) : std::vector<uint64_t>{});
+        }
+      }
+    }
+  }
 }
 
 TEST(MonitoredQuery, ChargesStats) {

@@ -85,7 +85,8 @@ std::vector<Point1D> SaturatedTies(size_t n, Rng* rng) {
 
 // Sweeps every k regime of `s` over tie-heavy queries, serial and at
 // several shard counts, demanding exact equality with brute force (and
-// hence with the serial path) every time.
+// hence with the serial path) every time, and the serial run's protocol
+// counters (every QueryStats field but nodes_visited).
 template <typename S>
 void ExpectParallelMatchesSerial(const S& s,
                                  const std::vector<Point1D>& data,
@@ -107,13 +108,22 @@ void ExpectParallelMatchesSerial(const S& s,
     for (size_t k : ks) {
       const std::vector<Point1D> want =
           test::BruteTopK<Range1DProblem>(data, q, k);
+      QueryStats serial;  // contexts[0] is the serial run
       for (parallel::Context* par : contexts) {
         QueryStats stats;
         s.QueryInto(q, k, &scratch, &got, &stats, /*tracer=*/nullptr, par);
+        const size_t shards = par == nullptr ? 1 : par->shards();
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
-            << "k=" << k << " shards="
-            << (par == nullptr ? 1 : par->shards()) << " q=[" << lo
-            << "," << hi << "]";
+            << "k=" << k << " shards=" << shards << " q=[" << lo << ","
+            << hi << "]";
+        if (par == nullptr) serial = stats;
+        // Both paths charge the same protocol counters; only the
+        // structural work (a flat scan vs a substrate walk) may differ.
+        QueryStats::ForEachField([&](const char* name, auto field) {
+          if (field == &QueryStats::nodes_visited) return;
+          EXPECT_EQ(stats.*field, serial.*field)
+              << name << " k=" << k << " shards=" << shards;
+        });
       }
     }
   }

@@ -1,14 +1,14 @@
-// The two-class posture hole, demonstrably open in tools/lint.py and
-// closed by tools/analyze.py: lint's `mutable` rule is file-scoped, so
-// the kThreadSafeQuery marker on SabSafeOuter makes the WHOLE file pass
-// — including SabCacheyInner's unmarked mutable query state, which
-// serve::ShareableTopKStructure (a per-class check) would happily share
-// across worker threads. tests/tools/analyze_selftest.cmake runs BOTH
-// tools over this header and asserts lint exits clean while analyze
-// reports the [posture] finding.
+// The two-class posture hole: the kThreadSafeQuery marker on
+// SabSafeOuter says nothing about SabCacheyInner's unmarked mutable
+// query state, which serve::ShareableTopKStructure (a per-class check)
+// would happily share across worker threads. A file-scoped `mutable`
+// rule would let the sibling's marker cover the whole file;
+// tools/analyze.py's posture rule is per class and reports the
+// [posture] finding (pinned by tests/tools/analyze_selftest.cmake).
 //
 // This header is lint-conformant on purpose (guard, namespace, no bare
-// assert): the point is that lint has no rule violation to see here.
+// assert): the point is that no per-line rule has a violation to see.
+// Only the per-class posture rule can.
 
 #ifndef TOPK_TWO_CLASS_H_
 #define TOPK_TWO_CLASS_H_

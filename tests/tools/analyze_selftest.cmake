@@ -3,8 +3,7 @@
 # dependency).
 #
 # Invoked from tests/CMakeLists.txt as:
-#   cmake -DPYTHON=... -DSCRIPT=... -DLINT=... -DFIXTURE=...
-#         -P analyze_selftest.cmake
+#   cmake -DPYTHON=... -DSCRIPT=... -DFIXTURE=... -P analyze_selftest.cmake
 #
 # The sabotage fixture under tests/tools/analyze_fixture holds one
 # deliberate violation per facet of each rule, plus neighbouring clean
@@ -24,19 +23,15 @@
 #                  out-parameters, and the allocating Query() compat
 #                  overload stay clean)
 #   posture        a class with its own unmarked mutable member while a
-#                  SIBLING class in the same file carries the marker
-#                  (the file-scope hole lint.py cannot see), and a
-#                  wrapper hiding a posture-marked substrate without an
-#                  alias export (exported and chained wrappers stay
-#                  clean)
-# Exactly thirteen findings total — a fourteenth means a suppression
-# or an approved pattern regressed; fewer means a rule stopped firing.
-#
-# The final block is the acceptance demonstration for the per-class
-# posture rule: lint.py (file-scope `mutable` check) must PASS the
-# two-class header that analyze.py flags.
+#                  SIBLING class in the same file carries the marker,
+#                  two unmarked classes whose heads carry attributes
+#                  (`alignas(64)`, `[[nodiscard]]`), and a wrapper
+#                  hiding a posture-marked substrate without an alias
+#                  export (exported and chained wrappers stay clean)
+# Exactly fifteen findings total — a sixteenth means a suppression or
+# an approved pattern regressed; fewer means a rule stopped firing.
 
-foreach(var PYTHON SCRIPT LINT FIXTURE)
+foreach(var PYTHON SCRIPT FIXTURE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}=")
   endif()
@@ -88,11 +83,18 @@ foreach(finding
   endif()
 endforeach()
 
-# posture: per-class marker hole + hidden unexported substrate.
-if(NOT out MATCHES "two_class\\.h:28: \\[posture\\] class SabCacheyInner")
-  message(FATAL_ERROR "missing the expected per-class [posture] finding "
-                      "at two_class.h:28\nstdout: ${out}\nstderr: ${err}")
-endif()
+# posture: per-class marker hole, attributed class heads, hidden
+# unexported substrate.
+foreach(finding
+        "two_class\\.h:28: \\[posture\\] class SabCacheyInner"
+        "attributed\\.h:12: \\[posture\\] class SabAligned"
+        "attributed\\.h:20: \\[posture\\] class SabNodiscard")
+  if(NOT out MATCHES "${finding}")
+    message(FATAL_ERROR "missing expected per-class [posture] finding "
+                        "matching '${finding}'\nstdout: ${out}\n"
+                        "stderr: ${err}")
+  endif()
+endforeach()
 if(NOT out MATCHES
    "hidden_substrate\\.h:27: \\[posture\\] class SabBadWrapper")
   message(FATAL_ERROR "missing the expected hidden-substrate [posture] "
@@ -100,29 +102,11 @@ if(NOT out MATCHES
                       "stderr: ${err}")
 endif()
 
-if(NOT err MATCHES "13 finding")
-  message(FATAL_ERROR "expected exactly 13 findings (a suppression or "
+if(NOT err MATCHES "15 finding")
+  message(FATAL_ERROR "expected exactly 15 findings (a suppression or "
                       "approved pattern regressed, or a rule stopped "
                       "firing)\nstdout: ${out}\nstderr: ${err}")
 endif()
 
-# Acceptance demonstration: the two-class posture hole passes lint.py's
-# file-scope mutable rule (the sibling's marker covers the whole file)
-# while analyze.py flags it per class above. If lint.py starts flagging
-# it, the fixture no longer demonstrates the hole; update both tools'
-# docs before loosening this.
-execute_process(
-  COMMAND ${PYTHON} ${LINT} ${FIXTURE}/core/two_class.h
-  RESULT_VARIABLE lint_rc
-  OUTPUT_VARIABLE lint_out
-  ERROR_VARIABLE lint_err)
-if(NOT lint_rc EQUAL 0)
-  message(FATAL_ERROR "expected lint.py to PASS the two-class posture "
-                      "hole (file-scope mutable rule) that analyze.py "
-                      "flags per class; it found something instead\n"
-                      "stdout: ${lint_out}\nstderr: ${lint_err}")
-endif()
-
 message(STATUS "analyze.py: layering/charge-site/hotpath-alloc/posture "
-               "self-test passed (13 findings; lint-vs-analyze posture "
-               "hole demonstrated)")
+               "self-test passed (15 findings)")

@@ -44,8 +44,8 @@ and runs four whole-program checks:
                 with a non-thread-safe-typed `mutable` member must
                 declare kThreadSafeQuery or kExternalMemory INSIDE ITS
                 OWN braces — a marker on a sibling class in the same
-                file (which satisfies lint.py's file-scope rule) does
-                not count; (b) a class holding a member of a
+                file does not count, and attributes in the class head
+                (alignas, [[...]]) do not hide the class; (b) a class holding a member of a
                 posture-marked class (directly or via alias chains)
                 must either export it through a substrate alias
                 (Prioritized / MaxSubstrate / CounterStructure) so the
@@ -110,6 +110,11 @@ NAMESPACE_HEAD_RE = re.compile(r"^\s*(inline\s+)?namespace\b[^()]*$")
 CLASS_HEAD_RE = re.compile(
     r"(?:^|\s)(?:class|struct)\s+([A-Za-z_]\w*)\s*(?:final\s*)?"
     r"(?::[^;{()]*)?$")
+# Attributes that may sit in a class head (`struct alignas(64) S`,
+# `class [[nodiscard]] T`); stripped before the head is classified, since
+# their parens and brackets would otherwise hide the class.
+ATTRIBUTE_RE = re.compile(
+    r"\[\[.*?\]\]|\balignas\s*\((?:[^()]|\([^()]*\))*\)")
 ACCESS_RE = re.compile(r"^\s*(?:public|private|protected)\s*:\s*")
 MUTATION_TAIL_RE = re.compile(
     r"\b(?:%s)\s*(?:\+\+|--|(?:[-+*/|&^]|<<|>>)=|=(?!=))"
@@ -202,7 +207,7 @@ class FileModel:
         while i < n:
             c = text[i]
             if c == "{":
-                head = text[stmt_start:i].strip()
+                head = ATTRIBUTE_RE.sub(" ", text[stmt_start:i]).strip()
                 kind = "other"
                 info = None
                 if NAMESPACE_HEAD_RE.match(head):
@@ -444,8 +449,9 @@ class Analyzer:
                         "mutates an issuance counter "
                         f"({'/'.join(CHARGE_FIELDS)}) outside "
                         "core/sink.h — issuance is charged exactly once, "
-                        "by IssuePrioritized/MonitoredQuery; charging "
-                        "elsewhere double-counts internal delegations "
+                        "by IssuePrioritized/MonitoredQuery/FetchTopKInto; "
+                        "charging elsewhere double-counts internal "
+                        "delegations "
                         "(see tests/stats_accounting_test.cc)")
 
     # -- rule: hotpath-alloc ------------------------------------------------

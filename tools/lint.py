@@ -16,13 +16,6 @@ Checks (see CLAUDE.md conventions):
                `std::random_device`, `random_shuffle`) is banned outside
                common/random.h — all randomness flows through topk::Rng
                with explicit seeds so builds stay deterministic.
-  mutable      a `mutable` data member hides query-time state from the
-               thread-shareability gate (serve::ShareableTopKStructure
-               only sees markers). Each use must either be an inherently
-               thread-safe type (std::mutex / std::atomic), or appear in
-               a file that declares its posture via kThreadSafeQuery or
-               kExternalMemory, or carry `// lint: mutable-ok` on the
-               line with a reason the reviewer can audit.
   sleep        `sleep_for` / `sleep_until` is banned outside src/fault/
                (simulated latency spikes and retry backoff, off by
                default) — a sleep anywhere else either hides a missing
@@ -74,15 +67,13 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("guard", "namespace", "assert", "random", "mutable", "sleep",
-         "tracer", "function", "epoch", "io")
+RULES = ("guard", "namespace", "assert", "random", "sleep", "tracer",
+         "function", "epoch", "io")
 
 RANDOM_RE = re.compile(
     r"(?<![\w:])(rand|srand)\s*\(|std::mt19937|std::random_device"
     r"|random_shuffle")
 ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
-MUTABLE_RE = re.compile(r"^\s*mutable\s+(.*)$")
-THREAD_SAFE_TYPES_RE = re.compile(r"std::(mutex|shared_mutex|atomic)")
 SLEEP_RE = re.compile(r"\bsleep_(for|until)\s*\(")
 TRACER_DEREF_RE = re.compile(r"\b\w*[Tt]racer\w*\s*->")
 FUNCTION_RE = re.compile(r"\bstd::function\s*<")
@@ -162,8 +153,6 @@ def check_file(path: Path, root: Path, findings: list) -> None:
         if not re.search(r"^namespace topk\b", text, re.M):
             report(1, "namespace", "header does not open `namespace topk`")
 
-    declares_posture = ("kThreadSafeQuery" in text
-                        or "kExternalMemory" in text)
     in_block_comment = False
     # epoch rule state: brace depth inside the most recent type marked
     # `// epoch-published` (-1 = not inside one; the marker arms
@@ -239,16 +228,6 @@ def check_file(path: Path, root: Path, findings: list) -> None:
                    "pointer is null when tracing is off — go through the "
                    "null-safe trace::Span / trace::Count / trace::Instant "
                    "or annotate `// lint: tracer-ok <reason>`")
-        m = MUTABLE_RE.match(code)
-        if m and is_header:
-            decl = m.group(1)
-            if THREAD_SAFE_TYPES_RE.search(decl):
-                continue  # a mutex/atomic is safe under const by design
-            if not declares_posture:
-                report(i, "mutable",
-                       "mutable member without a thread-safety posture: "
-                       "declare kThreadSafeQuery/kExternalMemory or "
-                       "annotate `// lint: mutable-ok <reason>`")
 
 
 def file_root(path: Path) -> Path:
