@@ -21,7 +21,7 @@
 // (em/checkpoint.h).
 //
 // This header (with its .cc) is the sanctioned home for raw file I/O —
-// tools/lint.py's `io` rule keeps open/pread/pwrite/fsync from leaking
+// tools/analyze.py's `io` rule keeps open/pread/pwrite/fsync from leaking
 // into other modules, so every durability decision stays behind
 // ByteStorage.
 

@@ -11,7 +11,7 @@
 //     simulated latency tally. By default the spike is accounting-only
 //     so tests stay deterministic; options.real_sleep additionally
 //     sleeps for the spike (benchmarks only — this header is the
-//     sanctioned home for sleep_for, see tools/lint.py's sleep rule).
+//     sanctioned home for sleep_for, see tools/analyze.py's sleep rule).
 //
 // Determinism: all randomness lives in the Injector's per-site Rng
 // streams, so a fixed (seed, operation sequence) yields a fixed fault

@@ -14,7 +14,7 @@
 // accounted in simulated_backoff_ns(); by default it is accounting-only
 // so tests stay deterministic. options.real_sleep actually sleeps the
 // backoff (benchmarks only — this header is a sanctioned home for
-// sleep_for, see tools/lint.py's sleep rule).
+// sleep_for, see tools/analyze.py's sleep rule).
 
 #ifndef TOPK_FAULT_RETRYING_BLOCK_DEVICE_H_
 #define TOPK_FAULT_RETRYING_BLOCK_DEVICE_H_

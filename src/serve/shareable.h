@@ -14,8 +14,8 @@
 // check recurses through e.g. CoreSetTopK<Problem, EmRange1dPrioritized>
 // without the reductions knowing anything about external memory.
 //
-// Contract for NEW structures (enforced by tools/lint.py's
-// mutable-member check and the negative tests in
+// Contract for NEW structures (enforced by tools/analyze.py's
+// per-class posture rule and the negative tests in
 // tests/core_properties_test.cc):
 //   * a structure whose const query path touches mutable state must
 //     either declare `static constexpr bool kExternalMemory = true`

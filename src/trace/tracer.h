@@ -40,7 +40,7 @@
 //
 // Dereference discipline: outside src/trace/, never dereference a
 // Tracer* directly — go through trace::Span / trace::Count /
-// trace::Instant, which tolerate null (tools/lint.py's `tracer` rule
+// trace::Instant, which tolerate null (tools/analyze.py's `tracer` rule
 // enforces this).
 
 #ifndef TOPK_TRACE_TRACER_H_
@@ -275,7 +275,7 @@ class Span {
 };
 
 // Null-safe free helpers: the only way code outside src/trace/ should
-// touch a Tracer* (see the lint `tracer` rule).
+// touch a Tracer* (see the analyzer's `tracer` rule).
 inline void Count(Tracer* tracer, const char* name, uint64_t delta) {
   if (tracer != nullptr) tracer->CountInCurrent(name, delta);
 }

@@ -1,9 +1,9 @@
-// Lint self-test fixture (linted, never compiled): the io rule must
+// Analyzer fixture (analyzed, never compiled): the io rule must
 // flag the raw ::open below (raw file I/O outside an em/ directory),
 // and honor the one-line suppression.
 
-#ifndef TOPK_FILEY_H_
-#define TOPK_FILEY_H_
+#ifndef TOPK_COMMON_FILEY_H_
+#define TOPK_COMMON_FILEY_H_
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -15,9 +15,9 @@ inline int BadOpen(const char* path) {
 }
 
 inline int JustifiedSync(int fd) {
-  return ::fsync(fd);  // lint: io-ok fixture suppression
+  return ::fsync(fd);  // analyze: io-ok fixture suppression
 }
 
 }  // namespace topk
 
-#endif  // TOPK_FILEY_H_
+#endif  // TOPK_COMMON_FILEY_H_

@@ -1,5 +1,8 @@
 // Clean common-module header: no findings expected.
 
+#ifndef TOPK_COMMON_OK_H_
+#define TOPK_COMMON_OK_H_
+
 namespace topk {
 
 struct SabPoint {
@@ -8,3 +11,5 @@ struct SabPoint {
 };
 
 }  // namespace topk
+
+#endif  // TOPK_COMMON_OK_H_

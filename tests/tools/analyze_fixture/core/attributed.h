@@ -3,8 +3,8 @@
 // Neither may hide the class from the per-class posture rule — both
 // classes hold unmarked mutable query state and must be flagged.
 
-#ifndef TOPK_ATTRIBUTED_H_
-#define TOPK_ATTRIBUTED_H_
+#ifndef TOPK_CORE_ATTRIBUTED_H_
+#define TOPK_CORE_ATTRIBUTED_H_
 
 namespace topk {
 
@@ -22,4 +22,4 @@ class [[nodiscard]] SabNodiscard {
 
 }  // namespace topk
 
-#endif  // TOPK_ATTRIBUTED_H_
+#endif  // TOPK_CORE_ATTRIBUTED_H_

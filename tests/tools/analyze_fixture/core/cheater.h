@@ -3,6 +3,9 @@
 // mutations must be flagged; the read and the suppressed mutation must
 // not be.
 
+#ifndef TOPK_CORE_CHEATER_H_
+#define TOPK_CORE_CHEATER_H_
+
 #include "common/ok.h"
 
 namespace topk {
@@ -21,3 +24,5 @@ inline unsigned long long SabCheat(SabStats* stats, unsigned long n) {
 }
 
 }  // namespace topk
+
+#endif  // TOPK_CORE_CHEATER_H_

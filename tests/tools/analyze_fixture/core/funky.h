@@ -1,4 +1,4 @@
-// Lint self-test fixture (linted, never compiled): the function rule
+// Analyzer fixture (analyzed, never compiled): the function rule
 // must flag the bare std::function member below — this file sits under
 // a core/ directory, where owning type-erasure is banned — and honor
 // the one-line suppression.
@@ -15,7 +15,7 @@ struct BadCallback {
 };
 
 struct JustifiedCallback {
-  std::function<void(int)> hook;  // lint: function-ok fixture suppression
+  std::function<void(int)> hook;  // analyze: function-ok fixture suppression
 };
 
 }  // namespace topk

@@ -8,6 +8,9 @@
 // the concept recurses) are clean, as are the mutex member and the
 // suppressed cache.
 
+#ifndef TOPK_CORE_HIDDEN_SUBSTRATE_H_
+#define TOPK_CORE_HIDDEN_SUBSTRATE_H_
+
 #include <mutex>
 
 #include "common/ok.h"
@@ -54,3 +57,5 @@ class SabSuppressed {
 };
 
 }  // namespace topk
+
+#endif  // TOPK_CORE_HIDDEN_SUBSTRATE_H_

@@ -5,6 +5,9 @@
 // NOT be flagged; nor may anything in the allocating Query() compat
 // overload (hot-path scoping is by function name, `*Into`).
 
+#ifndef TOPK_CORE_HOT_H_
+#define TOPK_CORE_HOT_H_
+
 #include <vector>
 
 #include "common/ok.h"
@@ -45,3 +48,5 @@ class SabHotStructure {
 };
 
 }  // namespace topk
+
+#endif  // TOPK_CORE_HOT_H_

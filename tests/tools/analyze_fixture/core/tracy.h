@@ -1,9 +1,9 @@
-// Lint self-test fixture (linted, never compiled): the tracer rule
+// Analyzer fixture (analyzed, never compiled): the tracer rule
 // must flag the bare `tracer->` dereference below, and honor the
 // one-line suppression on the guarded use.
 
-#ifndef TOPK_TRACY_H_
-#define TOPK_TRACY_H_
+#ifndef TOPK_CORE_TRACY_H_
+#define TOPK_CORE_TRACY_H_
 
 namespace topk {
 
@@ -15,10 +15,10 @@ inline void BadDeref(Tracer* tracer) {
 template <typename Tracer>
 inline void GuardedDeref(Tracer* query_tracer) {
   if (query_tracer != nullptr) {
-    query_tracer->Clear();  // lint: tracer-ok fixture suppression
+    query_tracer->Clear();  // analyze: tracer-ok fixture suppression
   }
 }
 
 }  // namespace topk
 
-#endif  // TOPK_TRACY_H_
+#endif  // TOPK_CORE_TRACY_H_

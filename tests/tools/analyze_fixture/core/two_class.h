@@ -6,12 +6,12 @@
 // tools/analyze.py's posture rule is per class and reports the
 // [posture] finding (pinned by tests/tools/analyze_selftest.cmake).
 //
-// This header is lint-conformant on purpose (guard, namespace, no bare
-// assert): the point is that no per-line rule has a violation to see.
-// Only the per-class posture rule can.
+// This header passes the per-file rules on purpose (guard, namespace,
+// no bare assert): the point is that no per-line rule has a violation
+// to see. Only the per-class posture rule can.
 
-#ifndef TOPK_TWO_CLASS_H_
-#define TOPK_TWO_CLASS_H_
+#ifndef TOPK_CORE_TWO_CLASS_H_
+#define TOPK_CORE_TWO_CLASS_H_
 
 #include <cstdint>
 
@@ -40,4 +40,4 @@ class SabSafeOuter {
 
 }  // namespace topk
 
-#endif  // TOPK_TWO_CLASS_H_
+#endif  // TOPK_CORE_TWO_CLASS_H_

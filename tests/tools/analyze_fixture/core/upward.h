@@ -3,6 +3,9 @@
 // not exist under the root (a typo'd path clang would catch only in a
 // TU that includes this header).
 
+#ifndef TOPK_CORE_UPWARD_H_
+#define TOPK_CORE_UPWARD_H_
+
 #include "core/nonexistent.h"
 #include "serve/widget.h"
 
@@ -11,3 +14,5 @@ namespace topk {
 inline int SabUpward() { return 0; }
 
 }  // namespace topk
+
+#endif  // TOPK_CORE_UPWARD_H_

@@ -1,4 +1,4 @@
-// Lint self-test fixture (linted, never compiled): files under an
+// Analyzer fixture (analyzed, never compiled): files under an
 // em/ directory are the sanctioned home for raw file I/O (the
 // ByteStorage / BlockDevice implementations live there) — the io rule
 // must stay quiet here.

@@ -1,4 +1,4 @@
-// Lint self-test fixture (linted, never compiled): files under a
+// Analyzer fixture (analyzed, never compiled): files under a
 // fault/ directory are a sanctioned home for real sleeps — the rule
 // must stay quiet here.
 

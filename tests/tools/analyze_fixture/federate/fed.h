@@ -2,6 +2,9 @@
 // include it); the sabotage is the reverse edge in
 // serve/uses_federate.h.
 
+#ifndef TOPK_FEDERATE_FED_H_
+#define TOPK_FEDERATE_FED_H_
+
 #include "serve/widget.h"
 
 namespace topk::federate {
@@ -11,3 +14,5 @@ struct SabFed {
 };
 
 }  // namespace topk::federate
+
+#endif  // TOPK_FEDERATE_FED_H_

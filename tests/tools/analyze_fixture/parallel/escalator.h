@@ -2,6 +2,9 @@
 // only declared dependency is common), so reaching up into serve is an
 // upward edge; the common include next to it must stay clean.
 
+#ifndef TOPK_PARALLEL_ESCALATOR_H_
+#define TOPK_PARALLEL_ESCALATOR_H_
+
 #include "common/ok.h"
 #include "serve/widget.h"
 
@@ -10,3 +13,5 @@ namespace topk::parallel {
 inline int SabEscalator() { return 0; }
 
 }  // namespace topk::parallel
+
+#endif  // TOPK_PARALLEL_ESCALATOR_H_

@@ -1,8 +1,8 @@
-// Lint self-test fixture (linted, never compiled): the sleep rule must
+// Analyzer fixture (analyzed, never compiled): the sleep rule must
 // flag the bare sleep_for below, and honor the one-line suppression.
 
-#ifndef TOPK_SLEEPY_H_
-#define TOPK_SLEEPY_H_
+#ifndef TOPK_SERVE_SLEEPY_H_
+#define TOPK_SERVE_SLEEPY_H_
 
 #include <chrono>
 #include <thread>
@@ -14,10 +14,10 @@ inline void BadWait() {
 }
 
 inline void JustifiedWait() {
-  std::this_thread::sleep_until(  // lint: sleep-ok fixture suppression
+  std::this_thread::sleep_until(  // analyze: sleep-ok fixture suppression
       std::chrono::steady_clock::now());
 }
 
 }  // namespace topk
 
-#endif  // TOPK_SLEEPY_H_
+#endif  // TOPK_SERVE_SLEEPY_H_

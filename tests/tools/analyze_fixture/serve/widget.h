@@ -1,5 +1,8 @@
 // Clean serve-module header (serve may include common).
 
+#ifndef TOPK_SERVE_WIDGET_H_
+#define TOPK_SERVE_WIDGET_H_
+
 #include "common/ok.h"
 
 namespace topk::serve {
@@ -9,3 +12,5 @@ struct SabWidget {
 };
 
 }  // namespace topk::serve
+
+#endif  // TOPK_SERVE_WIDGET_H_

@@ -44,19 +44,4 @@ expect_run(nonzero "malformed metrics JSON" ${FIXTURES}/bad_json_bench_output.tx
 expect_run(nonzero "missing expected key"   ${FIXTURES}/missing_key_bench_output.txt)
 expect_run(nonzero "cannot read"            ${FIXTURES}/no_such_file.txt)
 
-# --json baseline mode: the serve table row and metrics_json merge into
-# one record per (structure, threads); an input without bench_serve
-# metrics must fail rather than write an empty baseline.
-expect_run(zero "" --json baseline_tmp.json ${FIXTURES}/good_bench_output.txt)
-file(READ baseline_tmp.json baseline_json)
-file(REMOVE baseline_tmp.json)
-foreach(want "\"qps\": 104065" "\"structure\": \"CoreSetTopK\""
-        "\"threads\": 4" "\"p99\": 1898.0" "\"batch_ms\": 1.23")
-  if(NOT baseline_json MATCHES "${want}")
-    message(FATAL_ERROR "--json baseline missing ${want}\n${baseline_json}")
-  endif()
-endforeach()
-expect_run(nonzero "no bench_serve metrics"
-           --json baseline_tmp.json ${FIXTURES}/no_serve_bench_output.txt)
-
 message(STATUS "summarize_bench.py: all failure-mode checks passed")

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Cross-TU semantic analyzer for src/ (the whole-program complement to
-tools/lint.py's per-line rules).
+"""Static analyzer for src/: whole-program, per-file and per-line rules.
 
 Usage: tools/analyze.py [--json] <src-root>
 
-lint.py sees one line at a time; the contracts this repo leans on are
-properties of the whole header set — which module includes which, what a
-`QueryInto` body does, which CLASS a `mutable` member belongs to.
-analyze.py parses every header and source under <src-root> into a
-lightweight model (include graph; class declarations with members,
-postures, and substrate aliases; brace-matched hot-path function bodies)
-and runs four whole-program checks:
+Parses every header and source under <src-root> once into a lightweight
+model (the text with comments and string/char literals blanked; include
+graph; class declarations with members, postures, and substrate
+aliases; brace-matched hot-path function bodies) and runs thirteen
+checks over it. Four are whole-program:
 
   layering      modules (= top-level directories under src/) must
                 respect the declared dependency DAG below. Upward or
@@ -54,6 +51,60 @@ and runs four whole-program checks:
                 compile-time gate and a thread-unsafe structure passes
                 as shareable.
 
+The other nine are per-file or per-line (CLAUDE.md conventions). The
+line rules scan the blanked text, so a pattern inside a comment or a
+literal never fires and a literal such as "/*" hides nothing after it:
+
+  guard        .h files carry an include guard named TOPK_<PATH>_H_
+               derived from the path under <src-root>: `#ifndef`, then
+               `#define`, closed by a matching `#endif  // ...` tail;
+               `#pragma once` is banned.
+  namespace    every header declares `namespace topk` (possibly nested,
+               e.g. `namespace topk::range1d`).
+  assert       bare `assert(` is banned — use TOPK_CHECK (always on) or
+               TOPK_DCHECK (debug only). static_assert is fine.
+  random       direct RNG use (`rand(`, `srand(`, `std::mt19937`,
+               `std::random_device`, `random_shuffle`) is banned outside
+               common/random.h — all randomness flows through topk::Rng
+               with explicit seeds so builds stay deterministic.
+  sleep        `sleep_for` / `sleep_until` is banned outside fault/
+               (simulated latency spikes and retry backoff, off by
+               default) — a sleep anywhere else either hides a missing
+               synchronization primitive or wrecks benchmark
+               determinism.
+  tracer       a raw `trace::Tracer*` is null whenever tracing is
+               disabled (the production default), so dereferencing one
+               with `->` outside trace/ bypasses the null-safe
+               entry points (trace::Span, trace::Count, trace::Instant)
+               and crashes the untraced path. The rule flags any
+               identifier containing "tracer" followed by `->`; code
+               that has genuinely established non-null (e.g. behind the
+               engine's tracing_enabled() gate) suppresses it.
+  function     `std::function` is banned under core/ and serve/:
+               owning type-erasure may heap-allocate on construction,
+               which silently breaks the zero-allocation steady-state
+               contract (DESIGN.md "scratch memory contract"). Use a
+               template parameter for stored callables or
+               topk::FunctionRef (common/function_ref.h) for borrowed
+               ones.
+  epoch        a class whose head follows a `// epoch-published` marker
+               line (the unit of publication in serve/epoch.h's
+               epoch/snapshot rotation) is shared const across reader
+               threads while a writer retires and frees instances;
+               every class-scope data member must therefore declare its
+               thread-safety posture with a `// epoch:` comment on one
+               of its lines (who writes it, when it becomes immutable).
+               std::atomic, static, using and function members are
+               exempt.
+  io           raw file I/O (`open`/`fopen`, `pread`/`pwrite`,
+               `fsync`/`fdatasync`, `ftruncate`, `fread`/`fwrite`/
+               `fclose`, std::filesystem, std::fstream) is banned
+               outside em/ — every byte that reaches a disk must
+               flow through ByteStorage / BlockDevice so it stays
+               countable (the I/O counters ARE the experiment),
+               fault-injectable, and crash-testable (DESIGN.md
+               "durability contract").
+
 A finding prints `path:line: [rule] message`; exit status is the number
 of findings (0 = clean, capped at 125). Suppress any rule on one line
 with `// analyze: <rule>-ok <reason>`. `--json` emits a machine-readable
@@ -66,7 +117,9 @@ import sys
 from bisect import bisect_right
 from pathlib import Path
 
-RULES = ("layering", "hotpath-alloc", "charge-site", "posture")
+RULES = ("layering", "hotpath-alloc", "charge-site", "posture",
+         "guard", "namespace", "assert", "random", "sleep", "tracer",
+         "function", "epoch", "io")
 
 # --------------------------------------------------------------------------
 # Layering: the declared module DAG. A module may include itself and the
@@ -105,6 +158,53 @@ THREAD_SAFE_TYPES_RE = re.compile(r"std::(mutex|shared_mutex|atomic)")
 MARKER_RE = re.compile(
     r"\bstatic\s+constexpr\s+bool\s+(kThreadSafeQuery|kExternalMemory)\b")
 
+# Raw-file-I/O surface: POSIX fd calls, stdio, and the std::filesystem /
+# std::fstream families. The lookbehind (no word char or `.`) admits
+# `::open(` and bare `open(` but not member calls like `is_open(` or
+# identifiers like `reopen(`.
+IO_RE = re.compile(
+    r"std::filesystem|std::[io]?fstream"
+    r"|(?<![\w.])(f?open|fsync|fdatasync|pread|pwrite|ftruncate"
+    r"|fread|fwrite|fclose)\s*\(")
+# Per-line rules: (rule, pattern, applies-to-file, message). Each scans
+# the blanked code lines, so comments and literals never match.
+LINE_RULES = (
+    ("assert", re.compile(r"(?<![\w.])assert\s*\("),
+     lambda fm: True,
+     "bare assert(); use TOPK_CHECK / TOPK_DCHECK"),
+    ("random", re.compile(r"(?<![\w:])(rand|srand)\s*\(|std::mt19937"
+                          r"|std::random_device|random_shuffle"),
+     lambda fm: fm.rel != "common/random.h",
+     "direct RNG use; draw from topk::Rng (common/random.h) with an "
+     "explicit seed"),
+    ("sleep", re.compile(r"\bsleep_(for|until)\s*\("),
+     lambda fm: fm.module != "fault",
+     "sleep_for/sleep_until outside src/fault/; a sleep hides a missing "
+     "sync primitive or wrecks benchmark determinism"),
+    ("io", IO_RE,
+     lambda fm: fm.module != "em",
+     "raw file I/O outside src/em/; route bytes through ByteStorage / "
+     "BlockDevice so they stay countable, fault-injectable, and "
+     "crash-testable, or annotate `// analyze: io-ok <reason>`"),
+    ("function", re.compile(r"\bstd::function\s*<"),
+     lambda fm: fm.module in ("core", "serve"),
+     "std::function in src/core/ or src/serve/ may heap-allocate and "
+     "breaks the zero-allocation steady-state contract; use a template "
+     "parameter or topk::FunctionRef, or annotate "
+     "`// analyze: function-ok <reason>`"),
+    ("tracer", re.compile(r"\b\w*[Tt]racer\w*\s*->"),
+     lambda fm: fm.module != "trace",
+     "raw Tracer* dereference outside src/trace/; a tracer pointer is "
+     "null when tracing is off — go through the null-safe trace::Span / "
+     "trace::Count / trace::Instant or annotate "
+     "`// analyze: tracer-ok <reason>`"),
+)
+
+# Class-scope statements that declare no data member: posture's
+# holds-a-marked-member scan and the epoch rule both skip them.
+NON_MEMBER_RE = re.compile(
+    r"(using|typedef|static|friend|template|class|struct|enum)\b")
+
 INCLUDE_RE = re.compile(r'^[^\S\n]*#[^\S\n]*include\s+"([^"]+)"', re.M)
 NAMESPACE_HEAD_RE = re.compile(r"^\s*(inline\s+)?namespace\b[^()]*$")
 CLASS_HEAD_RE = re.compile(
@@ -115,7 +215,8 @@ CLASS_HEAD_RE = re.compile(
 # their parens and brackets would otherwise hide the class.
 ATTRIBUTE_RE = re.compile(
     r"\[\[.*?\]\]|\balignas\s*\((?:[^()]|\([^()]*\))*\)")
-ACCESS_RE = re.compile(r"^\s*(?:public|private|protected)\s*:\s*")
+# Leading whitespace and access specifiers before a class-scope statement.
+ACCESS_RE = re.compile(r"\s*(?:(?:public|private|protected)\s*:\s*)*")
 MUTATION_TAIL_RE = re.compile(
     r"\b(?:%s)\s*(?:\+\+|--|(?:[-+*/|&^]|<<|>>)=|=(?!=))"
     % "|".join(CHARGE_FIELDS))
@@ -126,6 +227,15 @@ NEW_RE = re.compile(r"\bnew\b")
 PUSH_RE = re.compile(
     r"((?:\w+(?:\(\))?(?:\.|->))*\w+(?:\(\))?)\s*(?:\.|->)\s*"
     r"(?:push_back|emplace_back)\s*\(")
+
+
+def is_digit_separator(text: str, i: int) -> bool:
+    """True when the `'` at text[i] sits inside a number (1'000,
+    0xff'ff) rather than opening a char literal (u8'a', L'x')."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "'."):
+        j -= 1
+    return j < i and text[j].isdigit()
 
 
 def strip_code(text: str) -> str:
@@ -147,7 +257,7 @@ def strip_code(text: str) -> str:
                 if out[k] != "\n":
                     out[k] = " "
             i = j + 2
-        elif c == '"' or c == "'":
+        elif c == '"' or (c == "'" and not is_digit_separator(text, i)):
             quote = c
             j = i + 1
             while j < n and text[j] != quote:
@@ -165,10 +275,11 @@ class ClassInfo:
     def __init__(self, name, line):
         self.name = name
         self.line = line
-        self.statements = []   # (text, line) at class scope
+        self.statements = []   # (text, line, line of its ';')
         self.mutables = []     # (decl_text, line)
         self.markers = []      # marker names declared in THIS class
         self.aliases = {}      # alias name -> target text
+        self.epoch_published = False  # head follows `// epoch-published`
 
 
 class FileModel:
@@ -179,6 +290,7 @@ class FileModel:
         self.text = path.read_text(encoding="utf-8")
         self.lines = self.text.splitlines()
         self.stripped = strip_code(self.text)
+        self.code_lines = self.stripped.splitlines()
         self._line_starts = [0] + [m.end() for m in
                                    re.finditer(r"\n", self.text)]
         # Matched on the raw text (strip_code blanks string contents, so
@@ -218,6 +330,13 @@ class FileModel:
                     if m:
                         kind = "class"
                         info = ClassInfo(m.group(1), self.lineno(i))
+                        # The marker must be a dedicated comment line in
+                        # the head's own stretch (prose that merely
+                        # mentions the phrase does not arm the rule).
+                        info.epoch_published = any(
+                            ln.strip().startswith("// epoch-published")
+                            for ln in self.lines[
+                                self.lineno(stmt_start) - 1:info.line])
                         self.classes.append(info)
                 stack.append((kind, info))
                 stmt_start = i + 1
@@ -227,21 +346,17 @@ class FileModel:
                 stmt_start = i + 1
             elif c == ";":
                 if stack and stack[-1][0] == "class":
-                    stmt = text[stmt_start:i].strip()
-                    while True:
-                        cut = ACCESS_RE.match(stmt)
-                        if not cut:
-                            break
-                        stmt = stmt[cut.end():]
+                    at = ACCESS_RE.match(text, stmt_start, i).end()
+                    stmt = text[at:i].rstrip()
                     if stmt:
-                        line = self.lineno(stmt_start + max(
-                            0, text[stmt_start:i].find(stmt[0])))
-                        self._record_member(stack[-1][1], stmt, line)
+                        self._record_member(stack[-1][1], stmt,
+                                            self.lineno(at),
+                                            self.lineno(i))
                 stmt_start = i + 1
             i += 1
 
-    def _record_member(self, info, stmt, line) -> None:
-        info.statements.append((stmt, line))
+    def _record_member(self, info, stmt, line, end) -> None:
+        info.statements.append((stmt, line, end))
         m = MARKER_RE.search(stmt)
         if m:
             info.markers.append(m.group(1))
@@ -441,9 +556,9 @@ class Analyzer:
         for fm in self.models:
             if fm.rel in CHARGE_SITES:
                 continue
-            for i, raw in enumerate(fm.stripped.splitlines(), 1):
-                if (MUTATION_TAIL_RE.search(raw)
-                        or MUTATION_HEAD_RE.search(raw)):
+            for i, code in enumerate(fm.code_lines, 1):
+                if (MUTATION_TAIL_RE.search(code)
+                        or MUTATION_HEAD_RE.search(code)):
                     self.report(
                         fm, i, "charge-site",
                         "mutates an issuance counter "
@@ -544,9 +659,8 @@ class Analyzer:
                     for mname in marked:
                         if re.search(r"\b%s\b" % re.escape(mname), target):
                             exported.add(mname)
-                for stmt, line in ci.statements:
-                    if re.match(r"(using|typedef|static|friend|template"
-                                r"|class|struct|enum)\b", stmt):
+                for stmt, line, _ in ci.statements:
+                    if NON_MEMBER_RE.match(stmt):
                         continue
                     if "(" in stmt:  # member function or paren-init
                         continue
@@ -564,11 +678,70 @@ class Analyzer:
                                 "ShareableTopKStructure pass a thread-"
                                 "unsafe composite")
 
+    # -- rules: guard, namespace --------------------------------------------
+    def check_header(self) -> None:
+        for fm in self.models:
+            if not fm.rel.endswith(".h"):
+                continue
+            guard = ("TOPK_" + re.sub(r"[^A-Z0-9]", "_", fm.rel[:-2].upper())
+                     + "_H_")
+            lines = [ln.strip() for ln in fm.lines]
+            if f"#ifndef {guard}" not in lines:
+                self.report(fm, 1, "guard", f"missing `#ifndef {guard}`")
+            else:
+                at = lines.index(f"#ifndef {guard}")
+                if lines[at + 1:at + 2] != [f"#define {guard}"]:
+                    self.report(fm, at + 1, "guard",
+                                f"`#define {guard}` must follow the #ifndef")
+                elif not any(f"#endif  // {guard}" in ln
+                             for ln in lines[-3:]):
+                    self.report(fm, len(lines), "guard",
+                                f"missing trailing `#endif  // {guard}`")
+            for i, code in enumerate(fm.code_lines, 1):
+                if "#pragma once" in code:
+                    self.report(fm, i, "guard", "`#pragma once` is banned; "
+                                "use the TOPK_..._H_ guard")
+            if not re.search(r"^namespace topk\b", fm.stripped, re.M):
+                self.report(fm, 1, "namespace",
+                            "header does not open `namespace topk`")
+
+    # -- rules: assert, random, sleep, io, function, tracer -----------------
+    def check_lines(self) -> None:
+        for fm in self.models:
+            rules = [r for r in LINE_RULES if r[2](fm)]
+            for i, code in enumerate(fm.code_lines, 1):
+                for rule, pattern, _, msg in rules:
+                    if pattern.search(code):
+                        self.report(fm, i, rule, msg)
+
+    # -- rule: epoch --------------------------------------------------------
+    def check_epoch(self) -> None:
+        for fm in self.models:
+            for ci in fm.classes:
+                if not ci.epoch_published:
+                    continue
+                for stmt, line, end in ci.statements:
+                    if (NON_MEMBER_RE.match(stmt) or "(" in stmt
+                            or "std::atomic" in stmt
+                            or any("// epoch:" in ln
+                                   for ln in fm.lines[line - 1:end])):
+                        continue
+                    self.report(
+                        fm, line, "epoch",
+                        "member of an epoch-published type without a "
+                        "thread-safety posture: non-atomic state shared "
+                        "const across reader threads needs an "
+                        "`// epoch: <who writes it, when immutable>` "
+                        "comment (or `// analyze: epoch-ok <reason>`)")
+
     def run(self) -> list:
         self.check_layering()
         self.check_charge_site()
         self.check_hotpath_alloc()
         self.check_posture()
+        self.check_header()
+        self.check_lines()
+        self.check_epoch()
         self.findings.sort(key=lambda f: (f["file"], f["line"]))
         return self.findings
 

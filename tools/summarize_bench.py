@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarizes a bench_output.txt run into the EXPERIMENTS.md headline tables.
 
-Usage: tools/summarize_bench.py [--json BASELINE.json] [bench_output.txt]
+Usage: tools/summarize_bench.py [bench_output.txt]
 
 Extracts, per experiment binary, the google-benchmark rows (name, CPU
 time, counters) or passes through the plain-text tables of the
@@ -10,15 +10,6 @@ diffed against the numbers recorded in EXPERIMENTS.md. bench_serve's
 (E21) `metrics_json` lines are parsed and re-rendered as compact rows:
 queries served, aggregate QueryStats counters of note, and latency
 percentiles from the serving layer's own histogram export.
-
-With --json, additionally writes a machine-readable perf baseline of
-the bench_serve section — one record per (structure, threads) merging
-the table row's throughput with the metrics_json latency percentiles
-and QueryStats counters. The checked-in bench/baselines/BENCH_serve.json
-is produced this way; CI regenerates it on every release run and prints
-a diff, giving PRs a throughput/latency trajectory to compare against.
-It fails (nonzero) when the input has no bench_serve metrics — an empty
-baseline silently checked in would erase the trajectory.
 """
 
 import json
@@ -84,41 +75,8 @@ def render_serve_metrics(line: str, lineno: int) -> str:
     return row
 
 
-def serve_baseline_record(line: str, lineno: int, throughput: dict) -> dict:
-    """One metrics_json line -> one baseline record (see --json)."""
-    head, _, payload = line.partition("{")
-    m = json.loads("{" + payload)  # validated by render_serve_metrics
-    tags = dict(tok.split("=", 1) for tok in head.split() if "=" in tok)
-    structure = tags.get("structure", "?")
-    threads = int(tags.get("threads", "0"))
-    record = {
-        "structure": structure,
-        "threads": threads,
-        "queries": m.get("queries"),
-        "latency_ns": m.get("latency_ns"),
-        "stats": m.get("stats"),
-        "results": m.get("results"),
-    }
-    record.update(throughput.get((structure, threads), {}))
-    if "qps" not in record:
-        raise MetricsError(
-            f"line {lineno}: metrics_json for {structure}/{threads} has no "
-            f"preceding throughput table row")
-    return record
-
-
 def main() -> int:
-    argv = sys.argv[1:]
-    json_out = None
-    if "--json" in argv:
-        at = argv.index("--json")
-        if at + 1 >= len(argv):
-            print("summarize_bench.py: --json needs an output path",
-                  file=sys.stderr)
-            return 2
-        json_out = argv[at + 1]
-        del argv[at:at + 2]
-    path = argv[0] if argv else "bench_output.txt"
+    path = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -130,12 +88,7 @@ def main() -> int:
     section = None
     gbench_row = re.compile(
         r"^(\S+)\s+(\d+(?:\.\d+)?) ns\s+(\d+(?:\.\d+)?) ns\s+\d+(.*)$")
-    # bench_serve table rows: structure, threads, batch ms, qps, speedup.
-    serve_row = re.compile(
-        r"^(\S+)\s+(\d+)\s+(\d+(?:\.\d+)?)\s+(\d+)\s+(\d+(?:\.\d+)?)x\b")
     passthrough = False
-    baseline = []
-    throughput = {}
     for lineno, line in enumerate(lines, 1):
         if line.startswith("=== "):
             section = line.strip("= ").strip()
@@ -152,15 +105,9 @@ def main() -> int:
         if section is None:
             continue
         if passthrough:
-            if section == "bench_serve" and (m := serve_row.match(line)):
-                throughput[(m.group(1), int(m.group(2)))] = {
-                    "batch_ms": float(m.group(3)), "qps": int(m.group(4))}
             if line.startswith("metrics_json "):
                 try:
                     print(render_serve_metrics(line, lineno))
-                    if json_out is not None and section == "bench_serve":
-                        baseline.append(
-                            serve_baseline_record(line, lineno, throughput))
                 except MetricsError as e:
                     print(f"summarize_bench.py: {path}: {e}",
                           file=sys.stderr)
@@ -176,15 +123,6 @@ def main() -> int:
                 if "=" in tok and not tok.startswith("bytes_per_second"))
             cpu_us = float(cpu) / 1000.0
             print(f"  {name:<32} {cpu_us:>10.2f} us  {extras}")
-
-    if json_out is not None:
-        if not baseline:
-            print(f"summarize_bench.py: {path} has no bench_serve metrics "
-                  f"to baseline", file=sys.stderr)
-            return 1
-        with open(json_out, "w", encoding="utf-8") as f:
-            json.dump({"bench_serve": baseline}, f, indent=1, sort_keys=True)
-            f.write("\n")
     return 0
 
 
