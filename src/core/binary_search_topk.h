@@ -50,8 +50,8 @@ namespace topk {
 // Intra-query parallelism: the O(log n) probes are budgeted (budget k)
 // and stay serial, but the final fetch is un-budgeted (budget n + 1, a
 // degenerate full fetch) and runs through the sharded flat kernel over
-// `flat` (the caller's flat source for pri) when it is engaged and a
-// context is present.
+// pri's slots when `flat` (the caller's flat source for pri) is engaged
+// and a context is present.
 template <typename Problem, typename Pri,
           typename Element = typename Problem::Element>
 void BinarySearchTopKQueryInto(
@@ -143,8 +143,9 @@ class BinarySearchTopK {
   }
 
   std::vector<double> weights_desc_;
-  // Slot source for the sharded final fetch; engaged iff n >=
-  // kMinShardedN. Declared before pri_, whose initializer builds it.
+  // Slot weights for the sharded final fetch; engaged iff Pri has
+  // stable slots and n >= kMinShardedN. Declared before pri_, whose
+  // initializer builds it.
   parallel::FlatSource<Pri, Element> flat_;
   Pri pri_;
 };

@@ -117,10 +117,10 @@ class CountingTopK {
   }
 
   std::vector<double> weights_desc_;
-  // Slot source for the sharded tally fetch (see parallel/flat_scan.h);
-  // engaged iff the set is big enough to ever shard. Precedes pri_ in
-  // declaration order, so it is alive while pri_'s initializer builds
-  // it.
+  // Slot weights for the sharded tally fetch (see parallel/flat_scan.h);
+  // engaged iff Pri has stable slots and the set is big enough to ever
+  // shard. Precedes pri_ in declaration order, so it is alive while
+  // pri_'s initializer builds it.
   parallel::FlatSource<Pri, Element> flat_;
   Counter counter_;
   Pri pri_;

@@ -83,6 +83,11 @@ class SampledTopK {
         m.Erase(e);
       };
 
+  // The flat source reads Pri's slot weights once per build, so a Pri
+  // with stable slots must not change between builds.
+  static_assert(!(parallel::SlotAddressable<Pri, Element> &&
+                  requires(Pri& p, const Element& e) { p.Insert(e); }));
+
   explicit SampledTopK(std::vector<Element> data,
                        const ReductionOptions& options = {},
                        PriFactory pri_factory = {},
@@ -109,8 +114,9 @@ class SampledTopK {
   // where Max supports enumeration — no stale element in any level's
   // max structure without a matching membership record (the converse
   // direction; a clobbered membership entry is invisible to the
-  // forward checks alone). The flat source matches the prioritized
-  // structure's slots. Aborts via TOPK_CHECK on violation.
+  // forward checks alone); static instantiations keep no membership
+  // at all. The flat source matches the prioritized structure's slots.
+  // Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(pri_.has_value());
     TOPK_CHECK_EQ(pri_->size(), n_);
@@ -164,10 +170,7 @@ class SampledTopK {
       }
 #endif  // TOPK_AUDIT
     } else {
-      for (const auto& [id, where] : membership_) {
-        TOPK_CHECK(!where.empty());
-        for (uint32_t j : where) TOPK_CHECK_LT(j, levels_.size());
-      }
+      TOPK_CHECK(membership_.empty());
     }
   }
 
@@ -272,7 +275,6 @@ class SampledTopK {
     }
     pri_->Insert(e);
     ++n_;
-    flat_.Add(e);
     for (uint32_t j = 0; j < static_cast<uint32_t>(levels_.size()); ++j) {
       if (rng_.Bernoulli(1.0 / levels_[j].K)) {
         levels_[j].max.Insert(e);
@@ -292,7 +294,6 @@ class SampledTopK {
     pri_->Erase(e);
     TOPK_CHECK(n_ > 0);
     --n_;
-    flat_.Remove(e.id);
     const auto it = membership_.find(e.id);
     TOPK_CHECK(it != membership_.end());  // every live element has one
     for (uint32_t j : it->second) levels_[j].max.Erase(e);
@@ -347,9 +348,9 @@ class SampledTopK {
       levels_.push_back(Level{K, max_factory_(std::move(sample))});
     }
     // Flat source for the sharded degenerate rounds / terminal scan;
-    // (re)engaged per rebuild iff the set is big enough to ever shard,
-    // then (a mirror, for a dynamic Pri) maintained incrementally by
-    // Insert/Erase until the next rebuild re-evaluates.
+    // engaged iff Pri has stable slots and the set is big enough to ever
+    // shard. Such a Pri takes no updates, so it stays valid until the
+    // next build.
     pri_.emplace(flat_.Build(std::move(data), pri_factory_));
   }
 
@@ -393,14 +394,15 @@ class SampledTopK {
   // optional<> lets Build construct the structure after sampling; always
   // engaged outside the constructor.
   std::optional<Pri> pri_;
-  // Slot source for the sharded kernel; engaged iff built_n_ was >=
-  // parallel::kMinShardedN, maintained by Insert/Erase between rebuilds.
+  // Slot weights for the sharded kernel; engaged iff Pri has stable
+  // slots and built_n_ >= parallel::kMinShardedN (see
+  // parallel/flat_scan.h).
   parallel::FlatSource<Pri, Element> flat_;
   std::vector<Level> levels_;
   // Dynamic instantiations: one entry per LIVE element (the value lists
   // the levels whose sample holds it, possibly none) — completeness is
   // what lets Insert reject duplicate ids and Erase assert liveness.
-  // Empty for static instantiations.
+  // Empty for static instantiations (AuditInvariants checks it).
   std::unordered_map<uint64_t, std::vector<uint32_t>> membership_;
 };
 

@@ -156,15 +156,19 @@ struct FetchVerdict {
 // too-small fetch the selection it would discard).
 //
 // The shard-or-serial decision lives here. A degenerate fetch (budget >
-// n: the budget is unreachable) over an engaged flat source runs as the
-// sharded flat kernel when `par` has more than one shard and n >=
-// kMinShardedN, merging straight into *out; its exact match count
-// reproduces every decision the serial query feeds. Every other fetch
-// is the serial MonitoredQuery body plus SelectTopK. Both charge one
-// prioritized query and every match emitted (budget > n: never cut
-// off); the sharded path charges its n scanned slots as nodes (the
-// ScanTopK convention), once, post-merge, under one "flat_scan" span on
-// the calling thread, so helpers never touch stats or tracers.
+// n: the budget is unreachable) over a substrate with stable slots
+// (parallel::SlotAddressable) and an engaged flat source runs as the
+// sharded flat kernel over pri's own slots when `par` has more than
+// one shard and n >= kMinShardedN, merging straight into *out; its
+// exact match count reproduces every decision the serial query feeds.
+// Every other fetch is the serial MonitoredQuery body plus SelectTopK,
+// and a substrate without stable slots always takes it: no caller
+// shards one, and an EM substrate's I/O must flow through its buffer
+// pool. Both charge one prioritized query and every match emitted
+// (budget > n: never cut off); the sharded path charges its n scanned
+// slots as nodes (the ScanTopK convention), once, post-merge, under one
+// "flat_scan" span on the calling thread, so helpers never touch stats
+// or tracers.
 //
 // *out is the caller's result vector or a ScratchVec borrowed from
 // `scratch`. A borrowed pool is itself the serial monitored pool, so
@@ -179,23 +183,24 @@ FetchVerdict FetchTopKInto(const Pri& pri,
                            Out* out, QueryStats* stats,
                            trace::Tracer* tracer, parallel::Context* par,
                            size_t min_matched = 0) {
-  const std::span<const double> weights = flat.weights();
-  const size_t n = weights.size();
-  if (par != nullptr && par->shards() > 1 && budget > n &&
-      n >= parallel::kMinShardedN) {
-    trace::Span span(tracer, "flat_scan", stats);
-    const size_t matched = parallel::FlatScanTopKInto<Problem>(
-        flat.slots(pri), weights, q, tau, k, par, scratch,
-        sink_internal::VecOf(out));
-    if (stats != nullptr) {
-      ++stats->prioritized_queries;
-      AddEmitted(stats, matched);
-      AddNodes(stats, n);
+  if constexpr (parallel::SlotAddressable<Pri, E>) {
+    const std::span<const double> weights = flat.weights();
+    const size_t n = weights.size();
+    if (par != nullptr && par->shards() > 1 && budget > n &&
+        n >= parallel::kMinShardedN) {
+      trace::Span span(tracer, "flat_scan", stats);
+      const size_t matched = parallel::FlatScanTopKInto<Problem>(
+          pri, weights, q, tau, k, par, scratch, sink_internal::VecOf(out));
+      if (stats != nullptr) {
+        ++stats->prioritized_queries;
+        AddEmitted(stats, matched);
+        AddNodes(stats, n);
+      }
+      span.Arg("matched", matched);
+      span.Arg("shards", par->shards());
+      if (matched < min_matched) out->clear();
+      return {matched, false};
     }
-    span.Arg("matched", matched);
-    span.Arg("shards", par->shards());
-    if (matched < min_matched) out->clear();
-    return {matched, false};
   }
 
   // Serial: the monitored query into `pool`, then k-selection.

@@ -69,8 +69,8 @@ class TopFChain {
                             max_core_set_attempts);
       }
       // Flat source for the sharded degenerate-probe kernel; only
-      // levels big enough to ever shard engage one (see
-      // parallel/flat_scan.h).
+      // levels over a Pri with stable slots and big enough to ever
+      // shard engage one (see parallel/flat_scan.h).
       parallel::FlatSource<Pri, Element> flat;
       Pri pri = flat.Build(std::move(current), factory);
       levels_.push_back(Level{std::move(pri), n_j, std::move(flat)});
@@ -92,8 +92,8 @@ class TopFChain {
   const Pri& level0() const { return levels_.front().pri; }
 
   // Level 0's flat source, shared with the enclosing CoreSetTopK for
-  // the same reason; disengaged when the input is too small to ever
-  // shard.
+  // the same reason; disengaged when Pri has no stable slots or the
+  // input is too small to ever shard.
   const parallel::FlatSource<Pri, Element>& level0_flat() const {
     return levels_.front().flat;
   }
@@ -135,7 +135,8 @@ class TopFChain {
   struct Level {
     Pri pri;
     size_t n;  // number of elements indexed at this level
-    // Slot source for the sharded kernel; engaged iff n >= kMinShardedN.
+    // Slot weights for the sharded kernel; engaged iff Pri has stable
+    // slots and n >= kMinShardedN.
     parallel::FlatSource<Pri, Element> flat;
   };
 

@@ -16,10 +16,12 @@
 // size() dense slots, ElementAt(slot) — and a contiguous array of the
 // slot weights, which is all the tau prefilter reads (a branchless
 // compare-and-compress over doubles: the measured SIMD-friendly layout;
-// see EXPERIMENTS.md E27). A static substrate with stable slots (the
-// PST's nodes_) is its own slot source, so its reduction keeps only the
-// weights; a substrate without stable slots gets a FlatMirror, an owned
-// element copy that models the same concept. FlatSource picks one.
+// see EXPERIMENTS.md E27). Only a substrate with stable slots (the
+// PST's nodes_) is scanned: it is its own slot source, and its
+// reduction keeps just the slot weights (FlatSource). A substrate
+// without stable slots is never sharded; its fetches run its own
+// monitored query, so an EM substrate's I/O still flows through its
+// buffer pool.
 //
 // Region 1: the slots are cut into 512-slot blocks and shard s scans
 // blocks s, s + S, s + 2S, ... Interleaving balances the shards for any
@@ -70,8 +72,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,157 +103,54 @@ concept SlotAddressable = requires(const S& s, size_t slot) {
   { s.ElementAt(slot) } -> std::same_as<const E&>;
 };
 
-// Owned slot source for a substrate without stable slots: the elements
-// in flat order plus a parallel contiguous weight array. Dynamic
-// structures maintain it incrementally: Add appends, Remove is a
-// swap-remove through a lazily built id -> slot index (updates are not
-// the zero-alloc path).
-template <typename E>
-class FlatMirror {
- public:
-  FlatMirror() = default;
-  explicit FlatMirror(const std::vector<E>& data) {
-    data_.reserve(data.size());
-    weights_.reserve(data.size());
-    for (const E& e : data) {
-      data_.push_back(e);
-      weights_.push_back(e.weight);
-    }
-  }
-
-  size_t size() const { return data_.size(); }
-  const E& ElementAt(size_t slot) const { return data_[slot]; }
-  std::span<const double> weights() const { return weights_; }
-
-  void Add(const E& e) {
-    if (indexed_) index_[e.id] = data_.size();
-    data_.push_back(e);
-    weights_.push_back(e.weight);
-  }
-
-  // Removes the element with this id (which must be present).
-  void Remove(uint64_t id) {
-    EnsureIndex();
-    auto it = index_.find(id);
-    TOPK_CHECK(it != index_.end());
-    const size_t slot = it->second;
-    index_.erase(it);
-    const size_t last = data_.size() - 1;
-    if (slot != last) {
-      data_[slot] = data_[last];
-      weights_[slot] = weights_[last];
-      index_[data_[slot].id] = slot;
-    }
-    data_.pop_back();
-    weights_.pop_back();
-  }
-
- private:
-  void EnsureIndex() {
-    if (indexed_) return;
-    index_.reserve(data_.size());
-    for (size_t i = 0; i < data_.size(); ++i) index_[data_[i].id] = i;
-    indexed_ = true;
-  }
-
-  std::vector<E> data_;
-  std::vector<double> weights_;
-  std::unordered_map<uint64_t, size_t> index_;  // built on first Remove
-  bool indexed_ = false;
-};
-
-// What a reduction keeps so the kernel can scan its substrate Pri. A
-// SlotAddressable Pri is its own slot source and only its slot weights
-// are kept (8 B per element); any other Pri gets a FlatMirror. Engaged
-// iff the set is big enough to ever shard (n >= kMinShardedN);
-// disengaged, weights() is empty and no fetch shards. No pointer
-// into Pri is kept: the caller passes its own Pri to slots() at query
-// time, so moving or copying the reduction cannot leave one dangling.
+// What a reduction keeps so the kernel can scan its substrate Pri: the
+// slot weights of a SlotAddressable Pri big enough to ever shard
+// (n >= kMinShardedN; 8 B per element), else nothing. While it is
+// empty no fetch shards, so a substrate without stable slots always
+// fetches through its own query (see core/sink.h FetchTopKInto). No
+// pointer into Pri is kept: the fetch is handed the caller's own Pri at
+// query time, so moving or copying the reduction cannot leave one
+// dangling.
 template <typename Pri, typename E>
 class FlatSource {
  public:
-  static constexpr bool kSubstrateSlots = SlotAddressable<Pri, E>;
-
-  // Builds the substrate as make(std::move(data)) and (re)builds this
-  // source beside it: the slot weights read from the built substrate,
-  // or the mirror copied from `data` before it moves.
+  // Builds the substrate as make(std::move(data)) and (re)reads the
+  // slot weights from it.
   template <typename Make>
   Pri Build(std::vector<E> data, const Make& make) {
-    if constexpr (kSubstrateSlots) {
-      store_.clear();
-      Pri pri = make(std::move(data));
-      if (pri.size() >= kMinShardedN) {
-        store_.resize(pri.size());
-        for (size_t i = 0; i < store_.size(); ++i) {
-          store_[i] = pri.ElementAt(i).weight;
-        }
-      }
-      return pri;
-    } else {
-      store_.reset();
-      if (data.size() >= kMinShardedN) store_.emplace(data);
-      return make(std::move(data));
-    }
+    Pri pri = make(std::move(data));
+    weights_ = SlotWeights(pri);
+    return pri;
   }
 
-  std::span<const double> weights() const {
-    if constexpr (kSubstrateSlots) {
-      return store_;
-    } else {
-      return store_.has_value() ? store_->weights()
-                                : std::span<const double>();
-    }
-  }
+  std::span<const double> weights() const { return weights_; }
 
-  // The slot source weights() describes; only valid while engaged.
-  const auto& slots([[maybe_unused]] const Pri& pri) const {
-    if constexpr (kSubstrateSlots) {
-      return pri;
-    } else {
-      TOPK_CHECK(store_.has_value());
-      return *store_;
-    }
-  }
-
-  // Dynamic substrates have no stable slots, so only a mirror follows
-  // their updates.
-  void Add(const E& e)
-    requires(!kSubstrateSlots)
-  {
-    if (store_.has_value()) store_->Add(e);
-  }
-  void Remove(uint64_t id)
-    requires(!kSubstrateSlots)
-  {
-    if (store_.has_value()) store_->Remove(id);
-  }
-
-  // Audit hook for the owning reduction: an engaged source covers every
-  // element of pri, and (under TOPK_AUDIT, O(n)) weights()[i] is the
-  // weight of slot i. A slot-backed source is engaged exactly when pri
-  // is big enough to ever shard.
+  // Audit hook for the owning reduction: the source is engaged exactly
+  // when pri has stable slots and is big enough to ever shard, and
+  // (under TOPK_AUDIT, O(n)) weights()[i] is the weight of slot i.
   void AuditInvariants(const Pri& pri) const {
-    const std::span<const double> w = weights();
-    if constexpr (kSubstrateSlots) {
-      TOPK_CHECK_EQ(w.empty(), pri.size() < kMinShardedN);
-    }
-    if (w.empty()) return;
-    TOPK_CHECK_EQ(w.size(), pri.size());
-    const auto& s = slots(pri);
-    TOPK_CHECK_EQ(w.size(), s.size());
+    const bool engaged =
+        SlotAddressable<Pri, E> && pri.size() >= kMinShardedN;
+    TOPK_CHECK_EQ(weights_.size(), engaged ? pri.size() : size_t{0});
 #ifdef TOPK_AUDIT
-    for (size_t i = 0; i < w.size(); ++i) {
-      TOPK_CHECK_EQ(w[i], s.ElementAt(i).weight);
-    }
+    TOPK_CHECK(weights_ == SlotWeights(pri));
 #endif  // TOPK_AUDIT
   }
 
  private:
-  // The slot weights of a SlotAddressable Pri; an owned mirror (element
-  // copy, weights and id -> slot index) for any other.
-  std::conditional_t<kSubstrateSlots, std::vector<double>,
-                     std::optional<FlatMirror<E>>>
-      store_;
+  // pri's slot weights when it is engaged, else empty.
+  static std::vector<double> SlotWeights(const Pri& pri) {
+    std::vector<double> w;
+    if constexpr (SlotAddressable<Pri, E>) {
+      if (pri.size() >= kMinShardedN) {
+        w.resize(pri.size());
+        for (size_t i = 0; i < w.size(); ++i) w[i] = pri.ElementAt(i).weight;
+      }
+    }
+    return w;
+  }
+
+  std::vector<double> weights_;
 };
 
 namespace flat_scan_internal {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,8 @@
 #include "parallel/flat_scan.h"
 #include "range1d/count_tree.h"
 #include "range1d/direct_topk.h"
+#include "range1d/dyn_pst.h"
+#include "range1d/dyn_range_max.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -102,6 +105,7 @@ namespace topk {
 namespace {
 
 using range1d::CountTree;
+using range1d::DynamicRangeMax;
 using range1d::Point1D;
 using range1d::PrioritySearchTree;
 using range1d::Range1D;
@@ -381,9 +385,9 @@ int64_t HeldBytes(const Make& make) {
 // so beyond a bare PST on the same data it holds only its sorted
 // weights, its slot weights (8 B per element of every level big enough
 // to shard) and its sample levels — no element copy. Each part is
-// measured from a bare instance of the same size; a FlatMirror's
-// element copy (24 B per element of every such level) would overshoot
-// the bound by far more than its fixed slack.
+// measured from a bare instance of the same size; an element copy
+// (24 B per element of every such level) would overshoot the bound by
+// far more than its fixed slack.
 TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
   TOPK_SKIP_UNDER_SANITIZERS();
   constexpr size_t kSpaceN = size_t{1} << 15;
@@ -444,6 +448,60 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
     EXPECT_LE(extra, bound) << "Thm 2 holds " << extra
                             << " B beyond a bare PST";
   }
+}
+
+// Space pin for a substrate without stable slots: dynamic Theorem 2
+// over a DynamicPst is never sharded, so it keeps no slot weights and
+// no element copy. Beyond a bare DynamicPst on the same data it holds
+// only its sample levels and its membership index (id -> sampled
+// levels, one entry per live element), each measured from a bare
+// instance — after build and after a run of Erases.
+TEST(AllocRegression, DynamicReductionHoldsNoElementCopy) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  using DynamicThm2 =
+      SampledTopK<Range1DProblem, range1d::DynamicPst, DynamicRangeMax>;
+  constexpr size_t kSpaceN = size_t{1} << 15;
+  constexpr int64_t kSlack = 16 << 10;  // level headers
+  const std::vector<Point1D> data = ShardableData(kSpaceN);
+  const DynamicThm2 shape(data);
+  int64_t bound =
+      HeldBytes([&] { return range1d::DynamicPst(data); }) + kSlack;
+  for (size_t i = 0; i < shape.num_sample_levels(); ++i) {
+    const size_t m = shape.sample_level_size(i);
+    bound += HeldBytes([&] {
+      std::vector<Point1D> sample;
+      for (size_t j = 0; j < m; ++j) sample.push_back(data[j]);
+      return DynamicRangeMax(std::move(sample));
+    });
+  }
+  // The membership index, built as SampledTopK builds it; each sampled
+  // element gets its own level list (overlapping samples share lists,
+  // so this is an upper bound).
+  bound += HeldBytes([&] {
+    std::unordered_map<uint64_t, std::vector<uint32_t>> membership;
+    for (const Point1D& e : data) membership.try_emplace(e.id);
+    size_t next = 0;
+    for (uint32_t i = 0; i < shape.num_sample_levels(); ++i) {
+      for (size_t j = 0; j < shape.sample_level_size(i); ++j) {
+        membership[data[next++ % kSpaceN].id].push_back(i);
+      }
+    }
+    return membership;
+  });
+  RecordProperty("dyn_thm2_bound_bytes", std::to_string(bound));
+
+  const int64_t built = HeldBytes([&] { return DynamicThm2(data); });
+  RecordProperty("dyn_thm2_built_bytes", std::to_string(built));
+  EXPECT_LE(built, bound) << "dynamic Thm 2 holds " << built
+                          << " B after build";
+  const int64_t erased = HeldBytes([&] {
+    DynamicThm2 thm2(data);
+    for (size_t i = 0; i < kSpaceN / 4; ++i) thm2.Erase(data[i]);
+    return thm2;
+  });
+  RecordProperty("dyn_thm2_erased_bytes", std::to_string(erased));
+  EXPECT_LE(erased, bound) << "dynamic Thm 2 holds " << erased
+                           << " B after " << kSpaceN / 4 << " Erases";
 }
 
 // Epoch-pinned query path (PR's serve-during-mutation mode): acquiring

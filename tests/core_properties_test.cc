@@ -159,14 +159,12 @@ static_assert(DynamicStructure<range1d::DynamicPst, Range1DProblem>);
 static_assert(!DynamicStructure<PrioritySearchTree, Range1DProblem>);
 
 // Slot sources of the sharded flat kernel: the static PST (and its
-// audited wrapper) is its own, the owned mirror is one, a dynamic PST
-// has no stable slots, and a slot read by value is no slot.
+// audited wrapper) is its own, a dynamic PST has no stable slots, and a
+// slot read by value is no slot.
 static_assert(parallel::SlotAddressable<PrioritySearchTree, Point1D>);
 static_assert(parallel::SlotAddressable<
               audit::CheckedPrioritized<PrioritySearchTree, Range1DProblem>,
               Point1D>);
-static_assert(parallel::SlotAddressable<parallel::FlatMirror<Point1D>,
-                                        Point1D>);
 static_assert(!parallel::SlotAddressable<range1d::DynamicPst, Point1D>);
 struct BrokenSlotByValue {
   size_t size() const { return 0; }

@@ -4,13 +4,17 @@
 // I/Os.
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/scratch.h"
+#include "common/stats.h"
 #include "core/core_set_topk.h"
 #include "core/sampled_topk.h"
 #include "em/block_device.h"
@@ -18,6 +22,8 @@
 #include "em/em_range1d.h"
 #include "em/external_sort.h"
 #include "em/paged_array.h"
+#include "parallel/context.h"
+#include "parallel/flat_scan.h"
 #include "range1d/point1d.h"
 #include "test_util.h"
 
@@ -387,6 +393,72 @@ TEST(EmReductions, BothReductionsMatchBrute) {
     }
   }
   EXPECT_GT(fx.dev->counters().total(), io_before);  // really EM-backed
+}
+
+// The EM substrates have no stable slots, so a parallel::Context is
+// inert over them: every deep-k fetch still runs the substrate's own
+// query and pays its block I/Os through the BufferPool, never a RAM
+// copy. Two identical fixtures, one queried serially and one with two
+// shards, must agree on every answer, every QueryStats field and the
+// device I/O each query charged.
+TEST(EmReductions, ShardContextChargesRealIo) {
+  constexpr size_t kN = 20000;
+  static_assert(kN >= parallel::kMinShardedN);
+  Rng rng(9);
+  const std::vector<Point1D> data = test::RandomPoints1D(kN, &rng);
+  const Range1D queries[] = {{0.0, 1.0}, {0.05, 0.95}, {0.3, 0.9}};
+  struct Run {
+    std::vector<uint64_t> ids;
+    QueryStats stats;
+    uint64_t io = 0;
+  };
+  auto run_all = [&](parallel::Context* par) {
+    EmFixture fx(512, 64);
+    auto pri_factory = [&fx](std::vector<Point1D> v) {
+      return EmRange1dPrioritized(fx.pool.get(), std::move(v));
+    };
+    auto max_factory = [&fx](std::vector<Point1D> v) {
+      return EmBPlusTree(fx.pool.get(), std::move(v));
+    };
+    CoreSetTopK<Range1DProblem, EmRange1dPrioritized> thm1(data, {},
+                                                           pri_factory);
+    SampledTopK<Range1DProblem, EmRange1dPrioritized, EmBPlusTree,
+                decltype(pri_factory), decltype(max_factory)>
+        thm2(data, {}, pri_factory, max_factory);
+    Scratch scratch;
+    std::vector<Point1D> out;
+    std::vector<Run> runs;
+    auto query = [&](const auto& s, const Range1D& q, size_t k) {
+      Run r;
+      const uint64_t before = fx.dev->counters().total();
+      s.QueryInto(q, k, &scratch, &out, &r.stats, nullptr, par);
+      r.io = fx.dev->counters().total() - before;
+      r.ids = test::IdsOf(out);
+      EXPECT_EQ(r.ids,
+                test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)));
+      runs.push_back(std::move(r));
+    };
+    for (const Range1D& q : queries) {
+      for (size_t k : {kN / 2, kN * 3 / 4, kN}) {
+        query(thm1, q, k);
+        query(thm2, q, k);
+      }
+    }
+    return runs;
+  };
+  parallel::Context two(2);
+  const std::vector<Run> serial = run_all(nullptr);
+  const std::vector<Run> sharded = run_all(&two);
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "query " << i);
+    EXPECT_EQ(sharded[i].ids, serial[i].ids);
+    QueryStats::ForEachField([&](const char* name, auto field) {
+      EXPECT_EQ(sharded[i].stats.*field, serial[i].stats.*field) << name;
+    });
+    EXPECT_GT(serial[i].io, 0u);
+    EXPECT_EQ(sharded[i].io, serial[i].io);
+  }
 }
 
 }  // namespace

@@ -46,6 +46,8 @@
 #include "parallel/flat_scan.h"
 #include "parallel/worker_pool.h"
 #include "range1d/count_tree.h"
+#include "range1d/dyn_pst.h"
+#include "range1d/dyn_range_max.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -68,6 +70,9 @@ using Thm2 = SampledTopK<Range1DProblem, Pri,
                          test::MaybeAuditedMax<RangeMax, Range1DProblem>>;
 using Baseline = BinarySearchTopK<Range1DProblem, Pri>;
 using Counting = CountingTopK<Range1DProblem, Pri, CountTree>;
+using DynamicThm2 = SampledTopK<
+    Range1DProblem, test::MaybeAudited<range1d::DynamicPst, Range1DProblem>,
+    test::MaybeAuditedMax<range1d::DynamicRangeMax, Range1DProblem>>;
 
 // Even heavier ties than ClumpedPoints1D: a handful of distinct
 // weights across thousands of elements, so every per-shard top-k pool
@@ -86,12 +91,15 @@ std::vector<Point1D> SaturatedTies(size_t n, Rng* rng) {
 // Sweeps every k regime of `s` over tie-heavy queries, serial and at
 // several shard counts, demanding exact equality with brute force (and
 // hence with the serial path) every time, and the serial run's protocol
-// counters (every QueryStats field but nodes_visited).
+// counters: every QueryStats field but nodes_visited, and that one too
+// when the substrate has no stable slots (par must then be inert).
 template <typename S>
 void ExpectParallelMatchesSerial(const S& s,
                                  const std::vector<Point1D>& data,
                                  uint64_t seed) {
   s.AuditInvariants();  // flat source vs the substrate's slots
+  constexpr bool kScansSlots =
+      parallel::SlotAddressable<typename S::Prioritized, Point1D>;
   const size_t n = data.size();
   Rng rng(seed);
   parallel::Context two(2);
@@ -118,9 +126,10 @@ void ExpectParallelMatchesSerial(const S& s,
             << hi << "]";
         if (par == nullptr) serial = stats;
         // Both paths charge the same protocol counters; only the
-        // structural work (a flat scan vs a substrate walk) may differ.
+        // structural work (a flat scan vs a substrate walk) may differ,
+        // and only over a substrate the kernel can scan.
         QueryStats::ForEachField([&](const char* name, auto field) {
-          if (field == &QueryStats::nodes_visited) return;
+          if (kScansSlots && field == &QueryStats::nodes_visited) return;
           EXPECT_EQ(stats.*field, serial.*field)
               << name << " k=" << k << " shards=" << shards;
         });
@@ -232,13 +241,56 @@ TEST(ServingThreads, CoordinatorRunsShardZeroOnTheCaller) {
 }
 
 // --- FlatScanTopKInto ----------------------------------------------------
+//
+// The kernel scans a substrate's own slots; the PST's are its nodes in
+// build preorder, and its reductions keep their weights (SlotWeights).
+
+std::vector<double> SlotWeights(const PrioritySearchTree& pst) {
+  std::vector<double> weights(pst.size());
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = pst.ElementAt(i).weight;
+  }
+  return weights;
+}
+
+// The x-range of the longest run of x-consecutive points that all sit
+// in one 512-slot block of `pst`. Only whole x-groups are kept, so the
+// range matches exactly that run.
+Range1D OneBlockCut(const PrioritySearchTree& pst) {
+  std::vector<std::pair<Point1D, size_t>> by_x;  // (point, its slot)
+  for (size_t i = 0; i < pst.size(); ++i) {
+    by_x.emplace_back(pst.ElementAt(i), i);
+  }
+  std::sort(by_x.begin(), by_x.end(), [](const auto& a, const auto& b) {
+    return a.first.x < b.first.x;
+  });
+  const size_t n = by_x.size();
+  auto x = [&](size_t i) { return by_x[i].first.x; };
+  auto block = [&](size_t i) { return by_x[i].second / 512; };
+  Range1D best{1.0, 0.0};  // empty
+  size_t best_len = 0;
+  for (size_t a = 0, b = 0; a < n; a = b) {
+    b = a + 1;
+    while (b < n && block(b) == block(a)) ++b;
+    size_t lo = a;
+    size_t hi = b;
+    while (a > 0 && lo < hi && x(lo) == x(a - 1)) ++lo;
+    while (b < n && hi > lo && x(hi - 1) == x(b)) --hi;
+    if (hi - lo > best_len) {
+      best_len = hi - lo;
+      best = {x(lo), x(hi - 1)};
+    }
+  }
+  return best;
+}
 
 TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
   Rng rng(101);
   const size_t n = 6000;
   const std::vector<Point1D> data = test::ClumpedPoints1D(n, &rng);
-  const parallel::FlatMirror<Point1D> mirror(data);
-  ASSERT_EQ(mirror.size(), n);
+  const PrioritySearchTree pst(data);
+  ASSERT_EQ(pst.size(), n);
+  const std::vector<double> weights = SlotWeights(pst);
   Scratch scratch;
   parallel::Context three(3);
   parallel::Context eight(8);
@@ -262,7 +314,7 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
       for (parallel::Context* par :
            {static_cast<parallel::Context*>(nullptr), &three, &eight}) {
         const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-            mirror, mirror.weights(), q, tau, k, par, &scratch, &got);
+            pst, weights, q, tau, k, par, &scratch, &got);
         EXPECT_EQ(matched, matches.size());
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "k=" << k << " tau=" << tau;
@@ -275,30 +327,30 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
 // k below the shard count, k at half the matches (deep enough that the
 // merge is split across shards once the output reaches kMinShardedN),
 // k around the match count (pools never pruned, every run kept whole),
-// and k = SIZE_MAX. Over the x-sorted input an x-range is a run of
-// consecutive slots, so narrow ranges leave most shards with empty runs
-// — with interleaved 512-slot blocks, a range inside one block leaves
-// every shard but one empty (asserted below).
+// and k = SIZE_MAX. The PST's preorder clusters by x, so narrow ranges
+// leave most shards with empty runs — with interleaved 512-slot blocks,
+// a range inside one block leaves every shard but one empty (asserted
+// below).
 TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
   constexpr size_t kN = 12000;
   static_assert(kN / 2 >= parallel::kMinShardedN);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(103);
-  std::vector<Point1D> sorted_by_x = test::ClumpedPoints1D(kN, &rng);
-  std::sort(sorted_by_x.begin(), sorted_by_x.end(),
-            [](const Point1D& a, const Point1D& b) { return a.x < b.x; });
   const std::vector<std::vector<Point1D>> inputs = {
-      sorted_by_x, SaturatedTies(kN, &rng)};
+      test::ClumpedPoints1D(kN, &rng), SaturatedTies(kN, &rng)};
+  std::vector<PrioritySearchTree> psts;
+  for (const std::vector<Point1D>& data : inputs) psts.emplace_back(data);
   const double x_max = static_cast<double>(kN / 4);
-  // Slots [600, 900) of the x-sorted input: inside block 1.
-  const Range1D one_block{sorted_by_x[600].x, sorted_by_x[900].x};
+  // The clumped input's widest one-block cut.
+  const Range1D one_block = OneBlockCut(psts[0]);
   size_t first_slot = kN;
   size_t last_slot = 0;
   for (size_t i = 0; i < kN; ++i) {
-    if (!Range1DProblem::Matches(one_block, sorted_by_x[i])) continue;
+    if (!Range1DProblem::Matches(one_block, psts[0].ElementAt(i))) continue;
     first_slot = std::min(first_slot, i);
     last_slot = std::max(last_slot, i);
   }
+  ASSERT_LT(first_slot, last_slot);  // more than one match
   ASSERT_EQ(first_slot / 512, last_slot / 512);
   struct Cut {
     Range1D q;
@@ -318,8 +370,9 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
   for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
                         size_t{8}}) {
     parallel::Context par(shards);
-    for (const std::vector<Point1D>& data : inputs) {
-      const parallel::FlatMirror<Point1D> mirror(data);
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      const std::vector<Point1D>& data = inputs[in];
+      const std::vector<double> weights = SlotWeights(psts[in]);
       for (const Cut& cut : cuts) {
         const std::vector<Point1D> matches =
             test::BrutePrioritized<Range1DProblem>(data, cut.q, cut.tau);
@@ -337,8 +390,7 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
           std::vector<Point1D> want = matches;
           if (want.size() > k) want.resize(k);
           const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-              mirror, mirror.weights(), cut.q, cut.tau, k, &par, &scratch,
-              &got);
+              psts[in], weights, cut.q, cut.tau, k, &par, &scratch, &got);
           EXPECT_EQ(matched, m);
           ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
               << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
@@ -355,7 +407,7 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
 TEST(FlatScan, HugeKNeverPrunesAwayMatches) {
   Rng rng(104);
   const std::vector<Point1D> data = test::RandomPoints1D(6000, &rng);
-  const parallel::FlatMirror<Point1D> mirror(data);
+  const PrioritySearchTree pst(data);
   parallel::Context three(3);
   Scratch scratch;
   std::vector<Point1D> got;
@@ -363,19 +415,19 @@ TEST(FlatScan, HugeKNeverPrunesAwayMatches) {
                     std::numeric_limits<double>::infinity()};
   const size_t k = (size_t{1} << 62) + 1;
   const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-      mirror, mirror.weights(), all,
-      -std::numeric_limits<double>::infinity(), k, &three, &scratch, &got);
+      pst, SlotWeights(pst), all, -std::numeric_limits<double>::infinity(),
+      k, &three, &scratch, &got);
   EXPECT_EQ(matched, data.size());
   ASSERT_EQ(got.size(), data.size());
   EXPECT_EQ(test::IdsOf(got),
             test::IdsOf(test::BruteTopK<Range1DProblem>(data, all, k)));
 }
 
-// The substrate's own slots and an owned mirror are interchangeable slot
-// sources. The PST's slots are in build preorder, which clusters by x
-// (unlike the mirror's input order), so at every shard count both must
-// give the exact count and the exact ids of brute force.
-TEST(FlatScan, SubstrateSlotsMatchOwnedMirror) {
+// Cuts shaped by the PST's preorder, which clusters by x: a range
+// covering one x-cluster, thresholded plateaus, and nearly everything.
+// At every shard count the scan must give the exact count and the exact
+// ids of brute force.
+TEST(FlatScan, PreorderClusteredCutsMatchBruteForce) {
   constexpr size_t kN = 10000;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(105);
@@ -393,14 +445,11 @@ TEST(FlatScan, SubstrateSlotsMatchOwnedMirror) {
       {{0.0, x_max}, 3.0},               // thresholded, nearly everything
   };
   Scratch scratch;
-  std::vector<Point1D> from_slots;
-  std::vector<Point1D> from_mirror;
+  std::vector<Point1D> got;
   for (const std::vector<Point1D>& data : inputs) {
     const PrioritySearchTree pst(data);
     ASSERT_EQ(pst.size(), kN);
-    std::vector<double> slot_weights(kN);
-    for (size_t i = 0; i < kN; ++i) slot_weights[i] = pst.ElementAt(i).weight;
-    const parallel::FlatMirror<Point1D> mirror(data);
+    const std::vector<double> weights = SlotWeights(pst);
     for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
                           size_t{8}}) {
       parallel::Context par(shards);
@@ -411,62 +460,15 @@ TEST(FlatScan, SubstrateSlotsMatchOwnedMirror) {
         for (size_t k : {size_t{1}, size_t{64}, m / 2, m + 1}) {
           std::vector<Point1D> want = matches;
           SelectTopK(&want, k);
-          const size_t slots_matched =
-              parallel::FlatScanTopKInto<Range1DProblem>(
-                  pst, slot_weights, cut.q, cut.tau, k, &par, &scratch,
-                  &from_slots);
-          const size_t mirror_matched =
-              parallel::FlatScanTopKInto<Range1DProblem>(
-                  mirror, mirror.weights(), cut.q, cut.tau, k, &par,
-                  &scratch, &from_mirror);
-          EXPECT_EQ(slots_matched, m);
-          EXPECT_EQ(mirror_matched, m);
-          ASSERT_EQ(test::IdsOf(from_slots), test::IdsOf(want))
+          const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
+              pst, weights, cut.q, cut.tau, k, &par, &scratch, &got);
+          EXPECT_EQ(matched, m);
+          ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
               << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
               << "," << cut.q.hi << "] tau=" << cut.tau;
-          ASSERT_EQ(test::IdsOf(from_mirror), test::IdsOf(from_slots));
         }
       }
     }
-  }
-}
-
-TEST(FlatScan, DynamicMirrorTracksAddRemove) {
-  Rng rng(55);
-  std::vector<Point1D> data = test::ClumpedPoints1D(5000, &rng);
-  parallel::FlatMirror<Point1D> mirror(data);
-  Scratch scratch;
-  parallel::Context four(4);
-  std::vector<Point1D> got;
-  for (int round = 0; round < 6; ++round) {
-    // Remove a swath, add replacements with fresh ids.
-    for (int i = 0; i < 200; ++i) {
-      const size_t victim = rng.Below(data.size());
-      mirror.Remove(data[victim].id);
-      data[victim] = data.back();
-      data.pop_back();
-    }
-    for (int i = 0; i < 150; ++i) {
-      Point1D e;
-      e.x = static_cast<double>(rng.Below(1000));
-      e.weight = static_cast<double>(rng.Below(400));
-      e.id = 1'000'000u + static_cast<uint64_t>(round) * 1000u +
-             static_cast<uint64_t>(i);
-      mirror.Add(e);
-      data.push_back(e);
-    }
-    ASSERT_EQ(mirror.size(), data.size());
-    const Range1D q{100.0, 900.0};
-    std::vector<Point1D> want =
-        test::BruteTopK<Range1DProblem>(data, q, 64);
-    const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-        mirror, mirror.weights(), q,
-        -std::numeric_limits<double>::infinity(), 64, &four, &scratch, &got);
-    EXPECT_EQ(matched,
-              test::BrutePrioritized<Range1DProblem>(
-                  data, q, -std::numeric_limits<double>::infinity())
-                  .size());
-    ASSERT_EQ(test::IdsOf(got), test::IdsOf(want)) << "round " << round;
   }
 }
 
@@ -503,6 +505,32 @@ TEST(ParallelReductions, SaturatedTiesStayDeterministic) {
   ExpectParallelMatchesSerial(Thm2(data), data, 6);
   ExpectParallelMatchesSerial(Baseline(data), data, 7);
   ExpectParallelMatchesSerial(Counting(data), data, 8);
+}
+
+// A substrate without stable slots is never sharded: dynamic Theorem 2
+// over a DynamicPst, after a run of updates, answers and charges every
+// counter (nodes_visited included) identically at every shard count.
+TEST(ParallelReductions, ParIsInertWithoutStableSlots) {
+  static_assert(
+      !parallel::SlotAddressable<DynamicThm2::Prioritized, Point1D>);
+  Rng rng(7007);
+  std::vector<Point1D> data = test::ClumpedPoints1D(8000, &rng);
+  DynamicThm2 thm2(data);
+  for (size_t i = 0; i < 500; ++i) {
+    const size_t victim = rng.Below(data.size());
+    thm2.Erase(data[victim]);
+    data[victim] = data.back();
+    data.pop_back();
+  }
+  for (size_t i = 0; i < 300; ++i) {
+    Point1D e;
+    e.x = static_cast<double>(rng.Below(2001));
+    e.weight = static_cast<double>(rng.Below(1001));
+    e.id = 1'000'000u + i;
+    thm2.Insert(e);
+    data.push_back(e);
+  }
+  ExpectParallelMatchesSerial(thm2, data, 9);
 }
 
 // The sharded full scan charges its issuance exactly once, post-merge:
