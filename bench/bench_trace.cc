@@ -5,7 +5,9 @@
 // Claims under test:
 //   * the disabled path costs one predicted-not-taken branch per
 //     instrumentation point — indistinguishable from the pre-trace
-//     query cost (the PR's acceptance bound is <= 2% on bench_serve);
+//     query cost (the `off` column below; perfbench's
+//     trace.*_overhead metrics price tracing end to end under
+//     --trace 1);
 //   * the enabled path's cost is proportional to events recorded, not
 //     to query work — cheap spans (Theorem 2's handful of rounds) cost
 //     little even when the query itself is expensive.

@@ -22,8 +22,8 @@
 // elements and the shard's bound cannot beat the current global k-th —
 // the k-th only gets heavier as the pool grows, so a retired shard
 // stays retired. Stats::elements_pulled (the per-shard final prefix
-// depths — TA's sorted-access count) is what bench_federate (E28)
-// proves strictly below the exhaustive S*k gather.
+// depths — TA's sorted-access count) is what serve_federate_test pins
+// strictly below the exhaustive S*k gather at S >= 2.
 //
 // Epoch consistency: multi-round pulls are only sound if every round
 // saw the same per-shard snapshot. EpochManager::current_seq() is
@@ -109,10 +109,6 @@ class Coordinator {
   };
 
   struct Options {
-    // First-round ask per shard; 0 = auto (k/S plus a cushion of
-    // 3*sqrt(k/S)+4, so a near-uniform weight spread usually finishes
-    // in one round). Doubled per round, capped at k.
-    size_t initial_k = 0;
     // Skip early termination: ask every shard for the full k in one
     // round. Always correct; exists as the comparison baseline for the
     // early-termination claim and as the unstable-query fallback.
@@ -278,10 +274,10 @@ class Coordinator {
     }
   }
 
+  // First-round ask per shard: k/S plus a cushion of 3*sqrt(k/S)+4, so
+  // a near-uniform weight spread usually finishes in one round. Doubled
+  // per round, capped at k.
   size_t InitialKFor(size_t k) const {
-    if (options_.initial_k > 0) {
-      return options_.initial_k < k ? options_.initial_k : k;
-    }
     const size_t per = k / shards_.size();
     const size_t k0 =
         per + static_cast<size_t>(3.0 * std::sqrt(static_cast<double>(per)))

@@ -5,8 +5,8 @@
 // them into a Metrics registry under a mutex — the hot path never
 // synchronizes. ToJson() renders one self-describing JSON object whose
 // "stats" keys come straight from QueryStats::ForEachField, so a
-// counter added to QueryStats shows up in the export (and in
-// tools/summarize_bench.py) without touching this file.
+// counter added to QueryStats shows up in the export without touching
+// this file.
 
 #ifndef TOPK_SERVE_METRICS_H_
 #define TOPK_SERVE_METRICS_H_

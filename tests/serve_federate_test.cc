@@ -98,12 +98,23 @@ TEST(ShardMap, MixIdIsDeterministicAndSpreadsDenseIds) {
 
 // One federation: data hash-partitioned into S shards, one static
 // engine per shard, a coordinator in front. Holds the shard structures
-// so engine pointers stay valid for the coordinator's lifetime.
+// and per-engine metrics so engine pointers stay valid for the
+// coordinator's lifetime.
 template <typename S>
 struct Federation {
   std::vector<S> structures;
+  std::vector<std::unique_ptr<serve::Metrics>> metrics;
   std::vector<std::unique_ptr<serve::QueryEngine<S>>> engines;
   std::unique_ptr<federate::Coordinator<S>> coord;
+
+  // What the shard engines themselves counted as returned.
+  uint64_t EngineResultsReturned() const {
+    uint64_t total = 0;
+    for (const auto& m : metrics) {
+      total += m->Snapshot().stats.results_returned;
+    }
+    return total;
+  }
 };
 
 template <typename S>
@@ -116,8 +127,10 @@ Federation<S> MakeStatic(
   for (auto& p : parts) f.structures.emplace_back(std::move(p));
   std::vector<typename federate::Coordinator<S>::Shard> shards;
   for (size_t s = 0; s < num_shards; ++s) {
+    f.metrics.push_back(std::make_unique<serve::Metrics>());
     f.engines.push_back(std::make_unique<serve::QueryEngine<S>>(
-        &f.structures[s], typename serve::QueryEngine<S>::Options{}));
+        &f.structures[s], typename serve::QueryEngine<S>::Options{},
+        f.metrics.back().get()));
     shards.push_back({f.engines.back().get(), nullptr});
   }
   f.coord = std::make_unique<federate::Coordinator<S>>(std::move(shards),
@@ -167,33 +180,45 @@ TEST(Coordinator, CountingExactAtEveryShardCount) {
   for (size_t s : kShardCounts) ExpectFederatedExact<Counting>(s, 400 + s);
 }
 
-// The exhaustive baseline answers identically, and the TA merge never
-// pulls deeper than it (strictly shallower once k spans shards and the
-// weight spread lets shards retire early).
+// The exhaustive baseline answers identically, and the TA merge pulls
+// exactly as deep at S = 1 (both ask the one shard for k) and strictly
+// shallower once k spans shards. The coordinator's transfer counter
+// agrees with the shard engines' own results_returned tallies.
 TEST(Coordinator, EarlyTerminationPullsNoMoreThanExhaustive) {
   Rng rng(77);
   const auto data = test::RandomPoints1D(4000, &rng);
-  const size_t kShards = 4;
-  auto ta = MakeStatic<Thm2>(data, kShards);
-  auto ex = MakeStatic<Thm2>(data, kShards, {.exhaustive = true});
-  std::vector<Point1D> got_ta, got_ex;
-  for (size_t i = 0; i < 24; ++i) {
-    double lo = rng.NextDouble(), hi = rng.NextDouble();
-    if (lo > hi) std::swap(lo, hi);
-    const Range1D q{lo, hi};
-    const size_t k = 64;
-    ASSERT_EQ(ta.coord->QueryInto(q, k, &got_ta),
-              serve::ResultStatus::kOk);
-    ASSERT_EQ(ex.coord->QueryInto(q, k, &got_ex),
-              serve::ResultStatus::kOk);
-    EXPECT_EQ(test::IdsOf(got_ta), test::IdsOf(got_ex)) << "query " << i;
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    auto ta = MakeStatic<Thm2>(data, num_shards);
+    auto ex = MakeStatic<Thm2>(data, num_shards, {.exhaustive = true});
+    std::vector<Point1D> got_ta, got_ex;
+    for (size_t i = 0; i < 24; ++i) {
+      double lo = rng.NextDouble(), hi = rng.NextDouble();
+      if (lo > hi) std::swap(lo, hi);
+      const Range1D q{lo, hi};
+      const size_t k = 64;
+      ASSERT_EQ(ta.coord->QueryInto(q, k, &got_ta),
+                serve::ResultStatus::kOk);
+      ASSERT_EQ(ex.coord->QueryInto(q, k, &got_ex),
+                serve::ResultStatus::kOk);
+      EXPECT_EQ(test::IdsOf(got_ta), test::IdsOf(got_ex))
+          << "S=" << num_shards << " query " << i;
+    }
+    const uint64_t ta_pulled = ta.coord->stats().elements_pulled;
+    const uint64_t ex_pulled = ex.coord->stats().elements_pulled;
+    if (num_shards == 1) {
+      EXPECT_EQ(ta_pulled, ex_pulled);
+    } else {
+      // At k=64 the first-round ask is under k, so on random weights
+      // at least some queries must finish shallow.
+      EXPECT_LT(ta_pulled, ex_pulled) << "S=" << num_shards;
+    }
+    EXPECT_EQ(ta.coord->stats().elements_transferred,
+              ta.EngineResultsReturned())
+        << "S=" << num_shards;
+    EXPECT_EQ(ex.coord->stats().elements_transferred,
+              ex.EngineResultsReturned())
+        << "S=" << num_shards;
   }
-  EXPECT_LE(ta.coord->stats().elements_pulled,
-            ex.coord->stats().elements_pulled);
-  // At k=64 over 4 shards the first-round ask is well under k, so on
-  // random weights at least some queries must finish shallow.
-  EXPECT_LT(ta.coord->stats().elements_pulled,
-            ex.coord->stats().elements_pulled);
 }
 
 TEST(Coordinator, ZeroKAndEmptyRangeAreOkAndEmpty) {

@@ -1,14 +1,14 @@
-# Exercises tools/summarize_bench.py failure modes via `cmake -P` (so the
-# default ctest sweep covers the tool without a pytest dependency).
+# Exercises tools/summarize_bench.py via `cmake -P` (so the default ctest
+# sweep covers the tool without a pytest dependency).
 #
 # Invoked from tests/CMakeLists.txt as:
 #   cmake -DPYTHON=... -DSCRIPT=... -DFIXTURES=... -P summarize_bench_test.cmake
 #
-# A well-formed bench output must summarize cleanly (exit 0 and render the
-# serve metrics row); malformed metrics JSON, a missing key, and a missing
-# input file must each fail with a nonzero exit and a diagnostic — silent
-# half-rendered summaries would be mistaken for clean runs when diffed
-# against EXPERIMENTS.md.
+# A well-formed bench output must summarize cleanly (exit 0, rendering the
+# google-benchmark rows and passing plain-text tables through); a missing
+# input file must fail with a nonzero exit and a diagnostic — a silently
+# empty summary would be mistaken for a clean run when diffed against
+# EXPERIMENTS.md.
 
 foreach(var PYTHON SCRIPT FIXTURES)
   if(NOT DEFINED ${var})
@@ -34,14 +34,8 @@ function(expect_run rc_want out_want)
   endif()
 endfunction()
 
-expect_run(zero "p50=0.8us"      ${FIXTURES}/good_bench_output.txt)
-expect_run(zero "max=2.2us"      ${FIXTURES}/good_bench_output.txt)
-expect_run(zero "deadline_exceeded=2 degraded=6" ${FIXTURES}/good_bench_output.txt)
 expect_run(zero "BM_Thm1CoreSet" ${FIXTURES}/good_bench_output.txt)
-expect_run(zero "slow: 2.2us batch=1 slot=17 work=4096 status=deadline_exceeded" ${FIXTURES}/good_bench_output.txt)
-expect_run(zero "off ns/q" ${FIXTURES}/good_bench_output.txt)
-expect_run(nonzero "malformed metrics JSON" ${FIXTURES}/bad_json_bench_output.txt)
-expect_run(nonzero "missing expected key"   ${FIXTURES}/missing_key_bench_output.txt)
-expect_run(nonzero "cannot read"            ${FIXTURES}/no_such_file.txt)
+expect_run(zero "off ns/q"       ${FIXTURES}/good_bench_output.txt)
+expect_run(nonzero "cannot read" ${FIXTURES}/no_such_file.txt)
 
-message(STATUS "summarize_bench.py: all failure-mode checks passed")
+message(STATUS "summarize_bench.py: all checks passed")
