@@ -6,7 +6,8 @@
 // (fresh result vectors per call) against a warm QueryBatchInto
 // (per-worker arenas + recycled slots); plus the SelectTopK strategy
 // crossover sweep that fixes the k*log2(|pool|) < |pool| boundary in
-// common/kselect.h.
+// common/kselect.h; plus the price of ordering a Theorem 1 top-f
+// (SelectTopK vs SelectTopKUnordered at the chain's pool shapes).
 //
 // Allocations are counted by replacing the global operator new in this
 // TU (process-wide, so the figure covers reductions, substrates, and
@@ -238,23 +239,16 @@ void MeasureEngine(const char* name, const S& s, size_t threads) {
 
 // ---- SelectTopK strategy crossover: partial_sort vs nth_element+sort.
 
+// Mean ns of `select(buf)` on a fresh copy of `base`, over kTrials.
+template <typename Select>
 double TimeSelect(const std::vector<Point1D>& base,
-                  std::vector<Point1D>* buf, size_t k, bool heap) {
+                  std::vector<Point1D>* buf, Select select) {
   constexpr int kTrials = 8;
   double total_ns = 0;
   for (int t = 0; t < kTrials; ++t) {
     *buf = base;  // copy outside the timed region
     const auto t0 = std::chrono::steady_clock::now();
-    if (heap) {
-      std::partial_sort(buf->begin(), buf->begin() + static_cast<long>(k),
-                        buf->end(), ByWeightDesc());
-      buf->resize(k);
-    } else {
-      std::nth_element(buf->begin(), buf->begin() + static_cast<long>(k),
-                       buf->end(), ByWeightDesc());
-      buf->resize(k);
-      std::sort(buf->begin(), buf->end(), ByWeightDesc());
-    }
+    select(buf);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(buf->data());
     total_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -265,10 +259,21 @@ double TimeSelect(const std::vector<Point1D>& base,
 void CrossoverRow(const std::vector<Point1D>& base,
                   std::vector<Point1D>* buf, size_t k) {
   const size_t m = base.size();
+  auto heap = [k](std::vector<Point1D>* b) {
+    std::partial_sort(b->begin(), b->begin() + static_cast<long>(k),
+                      b->end(), ByWeightDesc());
+    b->resize(k);
+  };
+  auto nth = [k](std::vector<Point1D>* b) {
+    std::nth_element(b->begin(), b->begin() + static_cast<long>(k), b->end(),
+                     ByWeightDesc());
+    b->resize(k);
+    std::sort(b->begin(), b->end(), ByWeightDesc());
+  };
   double heap_ns = 1e300, nth_ns = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    heap_ns = std::min(heap_ns, TimeSelect(base, buf, k, true));
-    nth_ns = std::min(nth_ns, TimeSelect(base, buf, k, false));
+    heap_ns = std::min(heap_ns, TimeSelect(base, buf, heap));
+    nth_ns = std::min(nth_ns, TimeSelect(base, buf, nth));
   }
   const bool heap_won = heap_ns <= nth_ns;
   const bool shipped = kselect_internal::UseHeapSelect(k, m);
@@ -277,6 +282,29 @@ void CrossoverRow(const std::vector<Point1D>& base,
               heap_won ? "partial_sort" : "nth_element",
               shipped ? "partial_sort" : "nth_element",
               heap_won == shipped ? "yes" : "NO");
+}
+
+// ---- Chain-level selection: what sorting a top-f costs. Theorem 1's
+// TopFChain cuts every level's pool to f — a completed probe of up to
+// 4f + 1 and a pivot fetch of up to 8f — and reads one rank of it, so
+// it selects with SelectTopKUnordered; SelectTopK's extra sort is paid
+// only at the exit. f = 4352 is serve-thm1's (n = 2^17, B = 64).
+void ChainSelectRow(const std::vector<Point1D>& base,
+                    std::vector<Point1D>* buf, size_t f) {
+  double ordered_ns = 1e300, unordered_ns = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    ordered_ns = std::min(ordered_ns,
+                          TimeSelect(base, buf, [f](std::vector<Point1D>* b) {
+                            SelectTopK(b, f);
+                          }));
+    unordered_ns = std::min(
+        unordered_ns, TimeSelect(base, buf, [f](std::vector<Point1D>* b) {
+          SelectTopKUnordered(b, f);
+        }));
+  }
+  std::printf("%8zu %8zu %12.1f %12.1f %12.1f\n", base.size(), f,
+              ordered_ns / 1e3, unordered_ns / 1e3,
+              (ordered_ns - unordered_ns) / 1e3);
 }
 
 void Run() {
@@ -329,10 +357,23 @@ void Run() {
     }
   }
   std::printf(
+      "\nChain-level selection at f = 4352 (serve-thm1): SelectTopK\n"
+      "(ordered) vs SelectTopKUnordered, pool m cut to f\n");
+  std::printf("%8s %8s %12s %12s %12s\n", "m", "f", "ordered us",
+              "unord us", "saved us");
+  constexpr size_t kChainF = 4352;
+  for (const size_t m : {4 * kChainF + 1, 8 * kChainF}) {
+    const std::vector<Point1D> base = bench::Points1D(m, 73);
+    std::vector<Point1D> buf;
+    buf.reserve(m);
+    ChainSelectRow(base, &buf, kChainF);
+  }
+  std::printf(
       "\nExpected shape: scratch path within noise of (or faster than)\n"
       "the alloc path with 0 allocs/q once warm; the shipped rule agrees\n"
       "with the measured winner except within noise of the boundary,\n"
-      "where the two strategies are near-equal cost.\n");
+      "where the two strategies are near-equal cost; the chain rows'\n"
+      "\"saved\" column is the sort each chain fetch no longer pays.\n");
 }
 
 }  // namespace

@@ -3,9 +3,14 @@
 // The paper's reductions repeatedly finish with "k-selection": given an
 // unordered candidate pool that is guaranteed to contain the k heaviest
 // qualifying elements, extract them in O(|pool|) time (O(|pool|/B) I/Os in
-// EM). We additionally sort the k survivors by descending weight — a
-// k log k afterthought that makes the public API pleasant; callers that
-// need the paper-exact unordered semantics use SelectTopKUnordered.
+// EM). SelectTopK additionally sorts the k survivors by descending
+// weight — a k log k afterthought paid only at the public exit: a
+// reduction's fetch into the caller's result vector (core/sink.h
+// FetchTopKInto) or Theorem 1's k-prefix of its top-f
+// (core/core_set_topk.h). Internal candidate pools — every borrowed
+// fetch pool, TopFChain's per-level top-f — keep the paper-exact
+// unordered semantics of SelectTopKUnordered and read a single rank
+// with std::nth_element.
 //
 // SelectTopK picks between two strategies:
 //   * heap-based std::partial_sort — O(|pool| log k), a single pass

@@ -35,9 +35,11 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/kselect.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
+#include "common/weighted.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set.h"
 #include "core/factory.h"
@@ -157,8 +159,10 @@ class CoreSetTopK {
       std::optional<ScratchVec<Element>> top =
           chain_->QueryTopF(q, scratch, stats, tracer, par);
       if (top.has_value()) {
-        const size_t take = std::min(k, top->size());  // already sorted desc
-        out->assign(top->begin(), top->begin() + take);
+        // The one sort: the chain's top-f is unordered; order only the
+        // min(k, |top|) that leave.
+        SelectTopK(&top->vec(), k);
+        out->assign(top->begin(), top->end());
         return;
       }
       FallbackInto(q, k, scratch, out, stats, tracer, par);
@@ -206,6 +210,8 @@ class CoreSetTopK {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
       return;
     }
+    std::nth_element(top->begin(), top->begin() + (rank - 1), top->end(),
+                     ByWeightDesc());
     const double tau = (*top)[rank - 1].weight;
     top.reset();  // only tau survives; recycle the pool for the fetch
 

@@ -10,9 +10,13 @@
 //   * runs a cost-monitored prioritized query with tau = -inf and budget
 //     4f + 1; if it completes, k-selection finishes the job;
 //   * otherwise (|q(R_j)| > 4f) recursively obtains the top-f of
-//     q(R_{j+1}), reads the element e of weight rank ceil(8*lambda*ln n_j)
-//     in it — by Lemma 2, e has weight rank in [f, 4f] within q(R_j) —
-//     and fetches {w >= w(e)} from level j's prioritized structure.
+//     q(R_{j+1}), selects the element e of weight rank
+//     ceil(8*lambda*ln n_j) in it — by Lemma 2, e has weight rank in
+//     [f, 4f] within q(R_j) — and fetches {w >= w(e)} from level j's
+//     prioritized structure.
+// Every level's top-f is an unordered set: a level reads one rank
+// (std::nth_element), never a sorted run, so the chain sorts nothing;
+// the enclosing CoreSetTopK orders only the k it returns.
 //
 // Unlucky-sample handling: the fetched set is verified to contain at
 // least f elements and at most 8f (twice Lemma 2's bound, leaving slack
@@ -22,6 +26,7 @@
 #ifndef TOPK_CORE_TOP_F_H_
 #define TOPK_CORE_TOP_F_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <optional>
@@ -32,6 +37,7 @@
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
+#include "common/weighted.h"
 #include "core/core_set.h"
 #include "core/factory.h"
 #include "core/problem.h"
@@ -119,9 +125,9 @@ class TopFChain {
     }
   }
 
-  // Top-min(f, |q(S)|) elements of q(S), heaviest first, in a pool
-  // borrowed from `scratch`; nullopt when an unlucky core-set defeated
-  // the algorithm (caller must fall back). The whole recursion works
+  // Top-min(f, |q(S)|) elements of q(S), unordered, in a pool borrowed
+  // from `scratch`; nullopt when an unlucky core-set defeated the
+  // algorithm (caller must fall back). The whole recursion works
   // out of the arena: the steady state borrows one buffer at a time, so
   // a warm arena serves any chain depth with zero allocations.
   std::optional<ScratchVec<Element>> QueryTopF(
@@ -164,6 +170,8 @@ class TopFChain {
     if (!deeper.has_value()) return std::nullopt;
     const size_t rank = CoreSetRank(level.n, Problem::kLambda, scale_);
     if (deeper->size() < rank) return std::nullopt;  // unlucky sample
+    std::nth_element(deeper->begin(), deeper->begin() + (rank - 1),
+                     deeper->end(), ByWeightDesc());
     const double tau = (*deeper)[rank - 1].weight;
     deeper.reset();  // only tau survives; recycle the pool for the fetch
 

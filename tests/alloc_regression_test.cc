@@ -124,17 +124,49 @@ std::vector<Point1D> Data() {
   return test::RandomPoints1D(kN, &rng);
 }
 
-// Diverse single-worker batch: mixed k, mixed ranges, one cost-budgeted
-// request (the BudgetedTopKInto staged path). One worker makes the
-// request->worker assignment deterministic, so the warm-up batches warm
-// exactly the pools the measured batches use.
+// Serves `requests` on one worker: warm-up batches, then measured
+// batches that must allocate nothing and still answer exactly against
+// brute force over `data`. One worker makes the request->worker
+// assignment deterministic, so the warm-up batches warm exactly the
+// pools the measured batches use.
 template <typename Structure>
-void ExpectZeroAllocSteadyState(const Structure& s) {
+void ExpectZeroAllocBatches(
+    const Structure& s, const std::vector<Point1D>& data,
+    const std::vector<typename serve::QueryEngine<Structure>::Request>&
+        requests) {
   using Engine = serve::QueryEngine<Structure>;
   typename Engine::Options options;
   options.num_threads = 1;
   Engine engine(&s, options);
 
+  std::vector<typename Engine::Result> results;
+  for (int warm = 0; warm < 3; ++warm) {
+    engine.QueryBatchInto(requests, &results);
+  }
+
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int it = 0; it < 5; ++it) {
+    engine.QueryBatchInto(requests, &results);
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "steady-state batches allocated";
+
+  // The recycled-slot path must still produce exact answers.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!results[i].ok()) continue;
+    EXPECT_EQ(test::IdsOf(results[i].elements),
+              test::IdsOf(test::BruteTopK<Range1DProblem>(
+                  data, requests[i].predicate, requests[i].k)))
+        << "request " << i;
+  }
+}
+
+// Diverse single-worker batch: mixed k, mixed ranges, one cost-budgeted
+// request (the BudgetedTopKInto staged path).
+template <typename Structure>
+void ExpectZeroAllocSteadyState(const Structure& s) {
+  using Engine = serve::QueryEngine<Structure>;
   Rng rng(99);
   std::vector<typename Engine::Request> requests;
   for (size_t i = 0; i < 24; ++i) {
@@ -155,29 +187,7 @@ void ExpectZeroAllocSteadyState(const Structure& s) {
     budgeted.cost_budget = 500;
     requests.push_back(budgeted);
   }
-
-  std::vector<typename Engine::Result> results;
-  for (int warm = 0; warm < 3; ++warm) {
-    engine.QueryBatchInto(requests, &results);
-  }
-
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int it = 0; it < 5; ++it) {
-    engine.QueryBatchInto(requests, &results);
-  }
-  const uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(allocs, 0u) << "steady-state batches allocated";
-
-  // The recycled-slot path must still produce exact answers.
-  const std::vector<Point1D> data = Data();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!results[i].ok()) continue;
-    EXPECT_EQ(test::IdsOf(results[i].elements),
-              test::IdsOf(test::BruteTopK<Range1DProblem>(
-                  data, requests[i].predicate, requests[i].k)))
-        << "request " << i;
-  }
+  ExpectZeroAllocBatches(s, Data(), requests);
 }
 
 // Multi-worker batch. Request-to-worker assignment is a race (the
@@ -284,6 +294,31 @@ TEST(AllocRegression, CoreSetTopKZeroSteadyStateAllocs) {
   Thm1 s(Data());
   ExpectZeroAllocSteadyState(s);
   ExpectZeroAllocSteadyStateThreaded(s);
+}
+
+// At kN, f >= n and Thm 1 never walks its chain. At n = 2^15 and B = 4
+// (f = 720) the chain has >= 2 levels: wide ranges at k <= f run the
+// level walk and its nth_element pivot reads, and k = f + 1 and 3000
+// probe ladder rungs, whose own chains walk too.
+TEST(AllocRegression, CoreSetTopKDeepChainZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  Rng rng(2468);
+  const std::vector<Point1D> data =
+      test::RandomPoints1D(size_t{1} << 15, &rng);
+  const Thm1 s(data, {.block_size = 4});
+  ASSERT_GE(s.num_chain_levels(), 2u);
+  ASSERT_GE(s.num_large_k_core_sets(), 3u);
+  std::vector<serve::QueryEngine<Thm1>::Request> requests;
+  for (const Range1D q : {Range1D{0.0, 1.0}, Range1D{0.05, 0.8},
+                          Range1D{0.2, 0.6}}) {
+    for (const size_t k : {size_t{16}, s.f(), s.f() + 1, size_t{3000}}) {
+      serve::QueryEngine<Thm1>::Request r;
+      r.predicate = q;
+      r.k = k;
+      requests.push_back(r);
+    }
+  }
+  ExpectZeroAllocBatches(s, data, requests);
 }
 
 TEST(AllocRegression, SampledTopKZeroSteadyStateAllocs) {

@@ -540,6 +540,61 @@ TEST(OutputOrder, AlwaysHeaviestFirst) {
   }
 }
 
+// Thm 1 with every exit reached. At n = 2^15 and B = 4, f = 720: the
+// small-k chain has >= 2 levels (a top-f level walk reads its pivot with
+// nth_element) and the large-k ladder has rungs. k = 1, 16 and f take the
+// chain's top-f prefix; f + 1 and 3000 a ladder rung; n / 2 the full
+// scan. A constant_scale ablation forces the binary-search fallback.
+// Serial and 4-shard answers must be strictly heaviest first and equal
+// brute force: the chain's pools are unordered, so the exit sort is the
+// only thing standing behind this order.
+TEST(OutputOrder, Thm1EveryExitHeaviestFirst) {
+  using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
+  Rng rng(7);
+  const size_t n = size_t{1} << 15;
+  const std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  const S paper(data, {.block_size = 4});
+  ASSERT_EQ(paper.f(), 720u);
+  ASSERT_GE(paper.num_chain_levels(), 2u);
+  ASSERT_GE(paper.num_large_k_core_sets(), 3u);
+  const S ablated(data, {.block_size = 4, .constant_scale = 0.01});
+  const size_t f = paper.f();
+  parallel::Context four(4);
+  parallel::Context* const contexts[] = {nullptr, &four};
+  const Range1D ranges[] = {{0.0, 1.0}, {0.1, 0.9}, {0.3, 0.5}};
+  Scratch scratch;
+  for (const S* s : {&paper, &ablated}) {
+    QueryStats stats;
+    for (const Range1D& q : ranges) {
+      for (const size_t k : {size_t{1}, size_t{16}, f, f + 1, size_t{3000},
+                             n / 2}) {
+        const std::vector<Point1D> want =
+            test::BruteTopK<Range1DProblem>(data, q, k);
+        for (parallel::Context* par : contexts) {
+          SCOPED_TRACE(::testing::Message()
+                       << (s == &paper ? "paper" : "ablated") << " q=["
+                       << q.lo << "," << q.hi << "] k=" << k
+                       << " shards=" << (par == nullptr ? 1 : 4));
+          std::vector<Point1D> got;
+          s->QueryInto(q, k, &scratch, &got, &stats, nullptr, par);
+          for (size_t i = 1; i < got.size(); ++i) {
+            ASSERT_TRUE(HeavierThan(got[i - 1], got[i])) << "rank " << i;
+          }
+          EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
+        }
+      }
+    }
+    EXPECT_GT(stats.full_scans, 0u);
+    // At paper constants a pivot read off an unselected pool would
+    // show up here as a fallback.
+    if (s == &paper) {
+      EXPECT_EQ(stats.fallbacks, 0u);
+    } else {
+      EXPECT_GT(stats.fallbacks, 0u);
+    }
+  }
+}
+
 // --- Stats accumulation ---------------------------------------------------
 
 TEST(QueryStatsTest, AccumulateAndReset) {
