@@ -10,10 +10,12 @@
 // Composition (Section 3.2):
 //   * f = 12*lambda*B*Q_pri(n);
 //   * a TopFChain on D serves queries with k <= f;
-//   * core-sets R[i] of D with K = 2^{i-1}*f (i = 1..h), each carrying
-//     its own TopFChain, serve queries with k > f: the pivot element of
-//     weight rank ceil(8*lambda*ln n) in q(R[i]) has weight rank [K, 4K]
-//     in q(D), so one prioritized fetch plus k-selection finishes;
+//   * core-sets R[i] of D with K = 2^i*f (i = 1..h, while K <= n), each
+//     carrying its own TopFChain, serve queries with k > f: the pivot
+//     element of weight rank ceil(8*lambda*ln n) in q(R[i]) has weight
+//     rank [K, 4K] in q(D), so one prioritized fetch plus k-selection
+//     finishes. That rung is one Lemma2Step (core/top_f.h), the same
+//     function every chain level runs, with K and k_out = k;
 //   * queries with k >= n/2 scan.
 //
 // Correctness is unconditional: every sampled shortcut verifies its
@@ -26,9 +28,7 @@
 #define TOPK_CORE_CORE_SET_TOPK_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -39,7 +39,6 @@
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/stats.h"
-#include "common/weighted.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set.h"
 #include "core/factory.h"
@@ -72,8 +71,8 @@ class CoreSetTopK {
     Rng rng(options_.seed);
     f_ = ComputeF(n_, options_);
 
-    // Core-sets R[i] of D with K = 2^{i-1} * f, for every K <= n. Draw
-    // them before `data` is consumed by the main chain.
+    // Core-sets R[i] of D with K = 2^i * f, for every K <= n. Draw them
+    // before `data` is consumed by the main chain.
     std::vector<std::vector<Element>> samples;
     for (double K = static_cast<double>(f_) * 2.0;
          K <= static_cast<double>(n_); K *= 2.0) {
@@ -82,11 +81,7 @@ class CoreSetTopK {
                                      options_.max_core_set_attempts));
     }
 
-    weights_desc_.reserve(n_);
-    for (const Element& e : data) weights_desc_.push_back(e.weight);
-    std::sort(weights_desc_.begin(), weights_desc_.end(),
-              std::greater<double>());
-
+    weights_desc_ = SortedWeightsDesc(data);
     chain_.emplace(std::move(data), f_, options_.constant_scale, &rng,
                    options_.max_core_set_attempts, factory);
     large_k_chains_.reserve(samples.size());
@@ -110,15 +105,13 @@ class CoreSetTopK {
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Theorem 1
   // composition invariants — the f clamp of inequality (11), the sorted
   // global weight list, the Lemma 2 nesting of every chain, and a
-  // large-k ladder exactly matching the K = 2^{i-1} f, K <= n schedule.
+  // large-k ladder exactly matching the K = 2^i f, K <= n schedule.
   // Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     if (n_ == 0) return;
     TOPK_CHECK(f_ >= CoreSetRank(n_, Problem::kLambda,
                                  options_.constant_scale));
-    TOPK_CHECK_EQ(weights_desc_.size(), n_);
-    TOPK_CHECK(std::is_sorted(weights_desc_.begin(), weights_desc_.end(),
-                              std::greater<double>()));
+    AuditSortedWeights(weights_desc_, n_);
     TOPK_CHECK(chain_.has_value());
     TOPK_CHECK_EQ(chain_->level0().size(), n_);
     chain_->AuditInvariants();
@@ -149,80 +142,53 @@ class CoreSetTopK {
                  parallel::Context* par = nullptr) const {
     out->clear();
     if (k == 0 || n_ == 0) return;
-    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-    const Pri& pri = chain_->level0();
-    const parallel::FlatSource<Pri, Element>& flat = chain_->level0_flat();
     trace::Span span(tracer, "thm1_query", stats);
     span.Arg("k", k);
 
-    if (k <= f_) {
-      std::optional<ScratchVec<Element>> top =
-          chain_->QueryTopF(q, scratch, stats, tracer, par);
-      if (top.has_value()) {
-        // The one sort: the chain's top-f is unordered; order only the
-        // min(k, |top|) that leave.
-        SelectTopK(&top->vec(), k);
-        out->assign(top->begin(), top->end());
-        return;
-      }
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
-      return;
-    }
-
-    if (k >= n_ / 2) {
+    if (k > f_ && k >= n_ / 2) {
       // Read everything: O(n/B) = O(k/B).
       span.Arg("full_scan", 1);
       if (stats != nullptr) ++stats->full_scans;
-      FetchTopKInto<Problem>(pri, flat, q, kNegInf, n_ + 1, k, scratch, out,
-                             stats, tracer, par);
+      FetchTopKInto<Problem>(chain_->level0(), chain_->level0_flat(), q,
+                             -std::numeric_limits<double>::infinity(),
+                             n_ + 1, k, scratch, out, stats, tracer, par);
       return;
     }
-
-    // Smallest i with K = 2^{i-1} f >= k; k < n/2 guarantees K <= n, so
-    // the core-set exists unless the constant-scale ablation truncated
-    // the list — then fall back.
-    size_t i = 0;
-    double K = static_cast<double>(f_);
-    while (K < static_cast<double>(k)) {
-      K *= 2.0;
-      ++i;
+    std::optional<ScratchVec<Element>> top;
+    if (k <= f_) {
+      top = chain_->QueryTopF(q, scratch, stats, tracer, par);
+    } else {
+      // The first rung i >= 1 (k > f) whose K = 2^i f reaches k; k < n/2
+      // guarantees K <= n, so core-set R[i] exists unless the
+      // constant-scale ablation truncated the ladder — then the step
+      // fails and the query falls back.
+      size_t i = 1;
+      size_t K = 2 * f_;
+      while (K < k) {
+        K *= 2;
+        ++i;
+      }
+      // Which rung of the large-k ladder this query probed — the
+      // per-query attribution E23 cares about.
+      span.Arg("core_set_level", i);
+      top = Lemma2Step<Problem>(
+          chain_->level0(), chain_->level0_flat(), options_.constant_scale,
+          q, K, k,
+          [&]() -> std::optional<ScratchVec<Element>> {
+            if (i > large_k_chains_.size()) return std::nullopt;
+            return large_k_chains_[i - 1].QueryTopF(q, scratch, stats,
+                                                    tracer, par);
+          },
+          scratch, stats, tracer, par);
     }
-    // Which rung of the large-k ladder (core-set R_i, K = 2^{i-1} f)
-    // this query probed — the per-query attribution E23 cares about.
-    span.Arg("core_set_level", i);
-    const size_t budget = static_cast<size_t>(4.0 * K) + 1;
-    if (!FetchTopKInto<Problem>(pri, flat, q, kNegInf, budget, k, scratch,
-                                out, stats, tracer, par)
-             .hit_budget) {
-      return;
-    }
-    if (i == 0 || i > large_k_chains_.size()) {
+    if (!top.has_value()) {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
       return;
     }
-
-    std::optional<ScratchVec<Element>> top =
-        large_k_chains_[i - 1].QueryTopF(q, scratch, stats, tracer, par);
-    const size_t rank = CoreSetRank(n_, Problem::kLambda,
-                                    options_.constant_scale);
-    if (!top.has_value() || top->size() < rank) {
-      top.reset();
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
-      return;
-    }
-    std::nth_element(top->begin(), top->begin() + (rank - 1), top->end(),
-                     ByWeightDesc());
-    const double tau = (*top)[rank - 1].weight;
-    top.reset();  // only tau survives; recycle the pool for the fetch
-
-    // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
-    const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
-    const FetchVerdict fetched =
-        FetchTopKInto<Problem>(pri, flat, q, tau, fetch_budget, k, scratch,
-                               out, stats, tracer, par, /*min_matched=*/k);
-    if (fetched.hit_budget || fetched.matched < k) {
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
-    }
+    // The one sort: the chain's top-f and the ladder's pool are
+    // unordered; order only the min(k, |top|) that leave.
+    SelectTopK(&top->vec(), k);
+    out->assign(top->begin(), top->end());
   }
 
  private:
@@ -246,9 +212,11 @@ class CoreSetTopK {
                     trace::Tracer* tracer, parallel::Context* par) const {
     trace::Instant(tracer, "fallback");
     if (stats != nullptr) ++stats->fallbacks;
-    BinarySearchTopKQueryInto<Problem>(chain_->level0(), weights_desc_, q,
-                                       k, scratch, out, stats, tracer,
-                                       chain_->level0_flat(), par);
+    const Pri& pri = chain_->level0();
+    BinarySearchTopKQueryInto<Problem>(
+        pri, weights_desc_, q, k,
+        ProbeReachesK(pri, q, k, scratch, stats, tracer), scratch, out,
+        stats, tracer, chain_->level0_flat(), par);
   }
 
   ReductionOptions options_;

@@ -5,7 +5,9 @@
 // Query: binary-search the global sorted weight list for the largest
 // threshold tau* whose count is >= k (O(log n) counting queries), then
 // one prioritized fetch at tau* plus k-selection; the fetch returns
-// between k and the count at the next weight step.
+// between k and the count at the next weight step. The search is
+// BinarySearchTopKQueryInto (core/binary_search_topk.h), the one
+// threshold search, with the exact count as its count test.
 //
 // Cost: O(Q_cnt(n) * log n + Q_rep(n) + k/B). Space: O(S_rep + S_cnt).
 // Implemented as the paper's second baseline: the section-2 reduction
@@ -24,19 +26,16 @@
 #ifndef TOPK_CORE_COUNTING_TOPK_H_
 #define TOPK_CORE_COUNTING_TOPK_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/scratch.h"
 #include "common/stats.h"
+#include "core/binary_search_topk.h"
 #include "core/factory.h"
 #include "core/problem.h"
-#include "core/sink.h"
 #include "parallel/context.h"
 #include "parallel/flat_scan.h"
 #include "trace/tracer.h"
@@ -56,8 +55,9 @@ class CountingTopK {
   using CounterStructure = Counter;
 
   explicit CountingTopK(std::vector<Element> data)
-      : counter_(data),
-        pri_(flat_.Build(MakeWeightsAndPass(&data), DirectFactory<Pri>{})),
+      : weights_desc_(SortedWeightsDesc(data)),
+        counter_(data),
+        pri_(flat_.Build(std::move(data), DirectFactory<Pri>{})),
         n_(pri_.size()) {}
 
   size_t size() const { return n_; }
@@ -67,9 +67,7 @@ class CountingTopK {
   // Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK_EQ(pri_.size(), n_);
-    TOPK_CHECK_EQ(weights_desc_.size(), n_);
-    TOPK_CHECK(std::is_sorted(weights_desc_.begin(), weights_desc_.end(),
-                              std::greater<double>()));
+    AuditSortedWeights(weights_desc_, n_);
     flat_.AuditInvariants(pri_);
   }
 
@@ -84,38 +82,18 @@ class CountingTopK {
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* tracer = nullptr,
                  parallel::Context* par = nullptr) const {
-    out->clear();
-    if (k == 0 || n_ == 0) return;
-    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-    // Largest threshold (smallest index in weights_desc_) with
-    // count >= k; counts are monotone in the index.
-    size_t lo = 0, hi = weights_desc_.size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      const size_t count = counter_.Count(q, weights_desc_[mid], stats);
-      if (stats != nullptr) ++stats->max_queries;  // count probes
-      if (count >= k) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    const double tau = lo < weights_desc_.size() ? weights_desc_[lo]
-                                                 : kNegInf;
-    FetchTopKInto<Problem>(pri_, flat_, q, tau, n_ + 1, k, scratch, out,
-                           stats, tracer, par);
+    // No k clamp: an exact count never reaches k > n, so the search
+    // runs down to tau = -inf.
+    BinarySearchTopKQueryInto<Problem>(
+        pri_, weights_desc_, q, k,
+        [this, &q, k, stats](double tau) {
+          if (stats != nullptr) ++stats->max_queries;  // count probes
+          return counter_.Count(q, tau, stats) >= k;
+        },
+        scratch, out, stats, tracer, flat_, par);
   }
 
  private:
-  std::vector<Element> MakeWeightsAndPass(std::vector<Element>* data) {
-    weights_desc_.reserve(data->size());
-    for (const Element& e : *data) weights_desc_.push_back(e.weight);
-    std::sort(weights_desc_.begin(), weights_desc_.end(),
-              std::greater<double>());
-    return std::move(*data);
-  }
-
   std::vector<double> weights_desc_;
   // Slot weights for the sharded tally fetch (see parallel/flat_scan.h);
   // engaged iff Pri has stable slots and the set is big enough to ever

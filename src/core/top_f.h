@@ -1,27 +1,19 @@
 // The top-f structure of Section 3.2 (first half): a chain of nested
-// core-sets answering top-k queries with k <= f.
+// core-sets answering top-k queries with k <= f, and Lemma2Step, the one
+// Lemma 2 step that both the chain and CoreSetTopK's large-k ladder run.
 //
 // Level 0 is the input set S = R_0 with a prioritized structure on it;
 // level j+1 is a core-set of level j with parameter K = f. The chain
 // stops at the first level of size <= 4f (or as soon as deeper core-sets
 // stop shrinking, which cannot happen with the paper's constants).
 //
-// A top-f query at level j:
-//   * runs a cost-monitored prioritized query with tau = -inf and budget
-//     4f + 1; if it completes, k-selection finishes the job;
-//   * otherwise (|q(R_j)| > 4f) recursively obtains the top-f of
-//     q(R_{j+1}), selects the element e of weight rank
-//     ceil(8*lambda*ln n_j) in it — by Lemma 2, e has weight rank in
-//     [f, 4f] within q(R_j) — and fetches {w >= w(e)} from level j's
-//     prioritized structure.
-// Every level's top-f is an unordered set: a level reads one rank
-// (std::nth_element), never a sorted run, so the chain sorts nothing;
-// the enclosing CoreSetTopK orders only the k it returns.
-//
-// Unlucky-sample handling: the fetched set is verified to contain at
-// least f elements and at most 8f (twice Lemma 2's bound, leaving slack
-// before declaring the sample bad); a violation surfaces as nullopt and
-// the caller (CoreSetTopK) falls back to the binary-search reduction.
+// A top-f query at level j is one Lemma2Step with K = k_out = f whose
+// deeper set is level j + 1, reached recursively. Every level's top-f is
+// an unordered set: a level reads one rank (std::nth_element), never a
+// sorted run, so the chain sorts nothing; the enclosing CoreSetTopK
+// orders only the k it returns. An unlucky sample surfaces as nullopt
+// and the caller (CoreSetTopK) falls back to the binary-search
+// reduction.
 
 #ifndef TOPK_CORE_TOP_F_H_
 #define TOPK_CORE_TOP_F_H_
@@ -47,6 +39,59 @@
 #include "trace/tracer.h"
 
 namespace topk {
+
+// One Lemma 2 step (Section 3.2) on a set X indexed by `pri` (with its
+// flat source), for parameters K and k_out <= K. TopFChain runs it at
+// every level (K = k_out = f, deeper set = level j + 1); CoreSetTopK's
+// large-k ladder at rung i (K = 2^i f, k_out = k, deeper set = core-set
+// R[i]'s chain). The step:
+//   * probes with tau = -inf and budget 4K + 1; a complete probe means
+//     |q(X)| <= 4K and k-selection to k_out finishes;
+//   * on a budget hit, takes `deeper_top_f()` — the top-f of q(R) for a
+//     core-set R of X with parameter K, or nullopt when there is none or
+//     it failed — reads its element e of weight rank CoreSetRank(|X|)
+//     (Lemma 2: weight rank [K, 4K] within q(X) w.h.p.), and fetches
+//     {w >= w(e)} with budget 8K + 1 (2x slack), then k-selection;
+//   * fails (nullopt) when there is no such e, or unless that fetch
+//     completed with >= k_out matches.
+// Returns the min(k_out, |q(X)|) heaviest of q(X), unordered, in a pool
+// borrowed from `scratch`. The probe pool and the deeper top-f each go
+// back to the arena before the next borrow, so no pool is held across
+// deeper_top_f()'s recursion.
+template <typename Problem, typename Pri, typename DeeperTopF,
+          typename E = typename Problem::Element>
+std::optional<ScratchVec<E>> Lemma2Step(
+    const Pri& pri, const parallel::FlatSource<Pri, E>& flat, double scale,
+    const typename Problem::Predicate& q, size_t K, size_t k_out,
+    DeeperTopF&& deeper_top_f, Scratch* scratch, QueryStats* stats,
+    trace::Tracer* tracer, parallel::Context* par) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  {
+    ScratchVec<E> probe = scratch->Borrow<E>();
+    if (!FetchTopKInto<Problem>(pri, flat, q, kNegInf, 4 * K + 1, k_out,
+                                scratch, &probe, stats, tracer, par)
+             .hit_budget) {
+      return probe;
+    }
+  }  // budget-hit probe pool returns to the arena before recursing
+
+  std::optional<ScratchVec<E>> deeper = deeper_top_f();
+  const size_t rank = CoreSetRank(pri.size(), Problem::kLambda, scale);
+  if (!deeper.has_value() || deeper->size() < rank) return std::nullopt;
+  std::nth_element(deeper->begin(), deeper->begin() + (rank - 1),
+                   deeper->end(), ByWeightDesc());
+  const double tau = (*deeper)[rank - 1].weight;
+  deeper.reset();  // only tau survives; recycle the pool for the fetch
+
+  ScratchVec<E> top = scratch->Borrow<E>();
+  const FetchVerdict fetched =
+      FetchTopKInto<Problem>(pri, flat, q, tau, 8 * K + 1, k_out, scratch,
+                             &top, stats, tracer, par,
+                             /*min_matched=*/k_out);
+  if (fetched.hit_budget) return std::nullopt;  // rank too deep
+  if (fetched.matched < k_out) return std::nullopt;  // rank too high
+  return top;
+}
 
 template <typename Problem, typename Pri>
 class TopFChain {
@@ -149,42 +194,17 @@ class TopFChain {
   std::optional<ScratchVec<Element>> QueryLevel(
       size_t j, const Predicate& q, Scratch* scratch, QueryStats* stats,
       trace::Tracer* tracer, parallel::Context* par) const {
-    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     const Level& level = levels_[j];
     trace::Span span(tracer, "topf_level", stats);
     span.Arg("level", j);
     span.Arg("n", level.n);
-    {
-      ScratchVec<Element> probe = scratch->Borrow<Element>();
-      if (!FetchTopKInto<Problem>(level.pri, level.flat, q, kNegInf,
-                                  4 * f_ + 1, f_, scratch, &probe, stats,
-                                  tracer, par)
-               .hit_budget) {
-        return probe;
-      }
-    }  // budget-hit probe pool returns to the arena before recursing
-    if (j + 1 >= levels_.size()) return std::nullopt;  // truncated chain
-
-    std::optional<ScratchVec<Element>> deeper =
-        QueryLevel(j + 1, q, scratch, stats, tracer, par);
-    if (!deeper.has_value()) return std::nullopt;
-    const size_t rank = CoreSetRank(level.n, Problem::kLambda, scale_);
-    if (deeper->size() < rank) return std::nullopt;  // unlucky sample
-    std::nth_element(deeper->begin(), deeper->begin() + (rank - 1),
-                     deeper->end(), ByWeightDesc());
-    const double tau = (*deeper)[rank - 1].weight;
-    deeper.reset();  // only tau survives; recycle the pool for the fetch
-
-    // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.; allow
-    // 2x slack before declaring the sample bad.
-    ScratchVec<Element> top = scratch->Borrow<Element>();
-    const FetchVerdict fetched =
-        FetchTopKInto<Problem>(level.pri, level.flat, q, tau, 8 * f_ + 1, f_,
-                               scratch, &top, stats, tracer, par,
-                               /*min_matched=*/f_);
-    if (fetched.hit_budget) return std::nullopt;  // rank too deep
-    if (fetched.matched < f_) return std::nullopt;  // rank too high
-    return top;
+    return Lemma2Step<Problem>(
+        level.pri, level.flat, scale_, q, f_, f_,
+        [&]() -> std::optional<ScratchVec<Element>> {
+          if (j + 1 >= levels_.size()) return std::nullopt;  // truncated
+          return QueryLevel(j + 1, q, scratch, stats, tracer, par);
+        },
+        scratch, stats, tracer, par);
   }
 
   size_t f_;

@@ -8,10 +8,8 @@
 //     Retrying the operation re-rolls the site.
 //   * kLatencySite — consulted on every transfer (before the fault
 //     roll); when it triggers, options.spike_ns is added to the
-//     simulated latency tally. By default the spike is accounting-only
-//     so tests stay deterministic; options.real_sleep additionally
-//     sleeps for the spike (benchmarks only — this header is the
-//     sanctioned home for sleep_for, see tools/analyze.py's sleep rule).
+//     simulated latency tally. The spike is accounting-only (nothing
+//     sleeps), so tests stay deterministic.
 //
 // Determinism: all randomness lives in the Injector's per-site Rng
 // streams, so a fixed (seed, operation sequence) yields a fixed fault
@@ -21,9 +19,7 @@
 #ifndef TOPK_FAULT_FAULTY_BLOCK_DEVICE_H_
 #define TOPK_FAULT_FAULTY_BLOCK_DEVICE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "common/check.h"
 #include "em/block_device.h"
@@ -39,8 +35,7 @@ inline constexpr const char kLatencySite[] = "block_device.latency";
 class FaultyBlockDevice final : public ForwardingBlockDevice {
  public:
   struct Options {
-    uint64_t spike_ns = 0;    // latency added per kLatencySite trigger
-    bool real_sleep = false;  // actually sleep the spike (benchmarks)
+    uint64_t spike_ns = 0;  // latency added per kLatencySite trigger
   };
 
   FaultyBlockDevice(em::BlockDevice* inner, Injector* injector)
@@ -87,10 +82,6 @@ class FaultyBlockDevice final : public ForwardingBlockDevice {
     if (!injector_->Trigger(kLatencySite)) return;
     ++latency_spikes_;
     simulated_latency_ns_ += options_.spike_ns;
-    if (options_.real_sleep) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(options_.spike_ns));
-    }
   }
 
   Injector* injector_;

@@ -3,8 +3,8 @@
 // faults.
 //
 // Two sites:
-//   * kTornWriteSite — when it fires, only a PREFIX of the write
-//     reaches the inner storage (default: half, configurable) and the
+//   * kTornWriteSite — when it fires, only a PREFIX of the write (the
+//     first half: kTornWriteKeepDivisor) reaches the inner storage and the
 //     caller sees kTransientFailure. This is the real-disk torn write:
 //     bytes landed, the syscall "failed", and only the caller's framing
 //     (WAL record CRC, manifest slot CRC) makes the damage detectable.
@@ -34,24 +34,15 @@ namespace topk::fault {
 inline constexpr const char kTornWriteSite[] = "storage.torn_write";
 inline constexpr const char kShortSyncSite[] = "storage.short_sync";
 
+// A torn write lands its first len / kTornWriteKeepDivisor bytes.
+inline constexpr size_t kTornWriteKeepDivisor = 2;
+
 class FaultyStorage final : public em::ByteStorage {
  public:
-  struct Options {
-    // Numerator/denominator of the fraction of a torn write that still
-    // lands (1/2 by default; 0/1 drops the write entirely).
-    uint64_t torn_keep_num = 1;
-    uint64_t torn_keep_den = 2;
-  };
-
   FaultyStorage(em::ByteStorage* inner, Injector* injector)
-      : FaultyStorage(inner, injector, Options()) {}
-
-  FaultyStorage(em::ByteStorage* inner, Injector* injector,
-                const Options& options)
-      : inner_(inner), injector_(injector), options_(options) {
+      : inner_(inner), injector_(injector) {
     TOPK_CHECK(inner_ != nullptr);
     TOPK_CHECK(injector_ != nullptr);
-    TOPK_CHECK(options_.torn_keep_den > 0);
   }
 
   uint64_t size() const override { return inner_->size(); }
@@ -64,9 +55,7 @@ class FaultyStorage final : public em::ByteStorage {
                                    size_t len) override {
     if (injector_->Trigger(kTornWriteSite)) {
       ++torn_writes_;
-      const size_t keep = static_cast<size_t>(
-          (static_cast<uint64_t>(len) * options_.torn_keep_num) /
-          options_.torn_keep_den);
+      const size_t keep = len / kTornWriteKeepDivisor;
       if (keep > 0) {
         // The prefix lands regardless of what the inner storage says —
         // the torn bytes are already gone from the caller's control.
@@ -95,7 +84,6 @@ class FaultyStorage final : public em::ByteStorage {
  private:
   em::ByteStorage* inner_;
   Injector* injector_;
-  Options options_;
   uint64_t torn_writes_ = 0;
   uint64_t short_syncs_ = 0;
 };

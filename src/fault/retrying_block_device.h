@@ -11,17 +11,14 @@
 // accounting identity  faults injected == retries + giveups.
 //
 // Backoff between attempts is exponential (base_ns, multiplier) and
-// accounted in simulated_backoff_ns(); by default it is accounting-only
-// so tests stay deterministic. options.real_sleep actually sleeps the
-// backoff (benchmarks only — this header is a sanctioned home for
-// sleep_for, see tools/analyze.py's sleep rule).
+// accounted in simulated_backoff_ns(); it is accounting-only (nothing
+// sleeps), so tests stay deterministic.
 
 #ifndef TOPK_FAULT_RETRYING_BLOCK_DEVICE_H_
 #define TOPK_FAULT_RETRYING_BLOCK_DEVICE_H_
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <thread>
 
 #include "common/check.h"
 #include "em/block_device.h"
@@ -35,7 +32,6 @@ class RetryingBlockDevice final : public ForwardingBlockDevice {
     size_t max_attempts = 3;        // total attempts, including the first
     uint64_t backoff_base_ns = 1000;
     double backoff_multiplier = 2.0;
-    bool real_sleep = false;
   };
 
   explicit RetryingBlockDevice(em::BlockDevice* inner)
@@ -60,8 +56,7 @@ class RetryingBlockDevice final : public ForwardingBlockDevice {
     });
   }
 
-  // Total backoff this decorator would have slept (and did sleep, when
-  // real_sleep is set).
+  // Total backoff this decorator would have slept.
   uint64_t simulated_backoff_ns() const { return simulated_backoff_ns_; }
 
  private:
@@ -81,9 +76,6 @@ class RetryingBlockDevice final : public ForwardingBlockDevice {
 
   void Backoff(uint64_t* backoff_ns) {
     simulated_backoff_ns_ += *backoff_ns;
-    if (options_.real_sleep) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(*backoff_ns));
-    }
     *backoff_ns = static_cast<uint64_t>(
         static_cast<double>(*backoff_ns) * options_.backoff_multiplier);
   }

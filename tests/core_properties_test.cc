@@ -544,10 +544,12 @@ TEST(OutputOrder, AlwaysHeaviestFirst) {
 // small-k chain has >= 2 levels (a top-f level walk reads its pivot with
 // nth_element) and the large-k ladder has rungs. k = 1, 16 and f take the
 // chain's top-f prefix; f + 1 and 3000 a ladder rung; n / 2 the full
-// scan. A constant_scale ablation forces the binary-search fallback.
-// Serial and 4-shard answers must be strictly heaviest first and equal
-// brute force: the chain's pools are unordered, so the exit sort is the
-// only thing standing behind this order.
+// scan. A constant_scale ablation forces the binary-search fallback out
+// of both failure exits; each query is classed by its own build's f, so
+// the chain's (k <= f) and the ladder's (f < k < n / 2) fallbacks are
+// pinned separately. Serial and 4-shard answers must be strictly
+// heaviest first and equal brute force: the chain's pools are unordered,
+// so the exit sort is the only thing standing behind this order.
 TEST(OutputOrder, Thm1EveryExitHeaviestFirst) {
   using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
   Rng rng(7);
@@ -564,19 +566,21 @@ TEST(OutputOrder, Thm1EveryExitHeaviestFirst) {
   const Range1D ranges[] = {{0.0, 1.0}, {0.1, 0.9}, {0.3, 0.5}};
   Scratch scratch;
   for (const S* s : {&paper, &ablated}) {
-    QueryStats stats;
+    QueryStats chain, ladder, scan;
     for (const Range1D& q : ranges) {
       for (const size_t k : {size_t{1}, size_t{16}, f, f + 1, size_t{3000},
                              n / 2}) {
         const std::vector<Point1D> want =
             test::BruteTopK<Range1DProblem>(data, q, k);
+        QueryStats* const stats =
+            k <= s->f() ? &chain : (k < n / 2 ? &ladder : &scan);
         for (parallel::Context* par : contexts) {
           SCOPED_TRACE(::testing::Message()
                        << (s == &paper ? "paper" : "ablated") << " q=["
                        << q.lo << "," << q.hi << "] k=" << k
                        << " shards=" << (par == nullptr ? 1 : 4));
           std::vector<Point1D> got;
-          s->QueryInto(q, k, &scratch, &got, &stats, nullptr, par);
+          s->QueryInto(q, k, &scratch, &got, stats, nullptr, par);
           for (size_t i = 1; i < got.size(); ++i) {
             ASSERT_TRUE(HeavierThan(got[i - 1], got[i])) << "rank " << i;
           }
@@ -584,13 +588,14 @@ TEST(OutputOrder, Thm1EveryExitHeaviestFirst) {
         }
       }
     }
-    EXPECT_GT(stats.full_scans, 0u);
+    EXPECT_GT(scan.full_scans, 0u);
     // At paper constants a pivot read off an unselected pool would
     // show up here as a fallback.
     if (s == &paper) {
-      EXPECT_EQ(stats.fallbacks, 0u);
+      EXPECT_EQ(chain.fallbacks + ladder.fallbacks + scan.fallbacks, 0u);
     } else {
-      EXPECT_GT(stats.fallbacks, 0u);
+      EXPECT_GT(chain.fallbacks, 0u) << "chain exit, f = " << s->f();
+      EXPECT_GT(ladder.fallbacks, 0u) << "ladder exit, f = " << s->f();
     }
   }
 }

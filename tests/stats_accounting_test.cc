@@ -32,6 +32,7 @@
 #include "core/sampled_topk.h"
 #include "core/sink.h"
 #include "core/topk_to_prioritized.h"
+#include "parallel/context.h"
 #include "range1d/count_tree.h"
 #include "range1d/direct_topk.h"
 #include "range1d/point1d.h"
@@ -109,6 +110,97 @@ TEST(StatsAccounting, CountingChargesMatchAuditMirror) {
   CountingTopK<Range1DProblem, PrioritySearchTree, CountTree> plain(data);
   CountingTopK<Range1DProblem, Checked, CountTree> mirrored(data);
   SweepAndCompare(plain, mirrored);
+}
+
+// Golden counters: each reduction's summed QueryStats over one fixed
+// query mix, against constants recorded before the reductions' Lemma 2
+// step and threshold search were folded into one function each. The
+// audit-mirror tests above compare two runs of the same code; these
+// pin what that code does. n = 2^15 and B = 4 give Thm 1 f = 720 with a
+// multi-level chain and a ladder of rungs, so the mix reaches the
+// chain, the ladder (probe complete and pivot fetch), the full scan
+// and, at constant_scale = 0.01, the binary-search fallback.
+template <typename S>
+QueryStats GoldenMixTotals(const S& s, const std::vector<size_t>& ks,
+                           parallel::Context* par = nullptr) {
+  Rng qrng(23);
+  std::vector<Range1D> ranges = {{0.0, 1.0}, {0.1, 0.9}, {0.3, 0.5},
+                                 {0.42, 0.4205}};
+  for (int rep = 0; rep < 4; ++rep) {
+    const double a = qrng.NextDouble();
+    const double b = qrng.NextDouble();
+    ranges.push_back({std::min(a, b), std::max(a, b)});
+  }
+  Scratch scratch;
+  QueryStats total;
+  std::vector<Point1D> got;
+  for (const Range1D& q : ranges) {
+    for (const size_t k : ks) {
+      s.QueryInto(q, k, &scratch, &got, &total, nullptr, par);
+    }
+  }
+  return total;
+}
+
+TEST(StatsAccounting, GoldenCountersAtFixedSeed) {
+  Rng rng(2016);
+  const size_t n = size_t{1} << 15;
+  const std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  auto thm1_ks = [n](size_t f) {
+    return std::vector<size_t>{1, 16, f, f + 1, 3000, n / 2};
+  };
+  // rounds (Thm 2 only) and results_returned (the serving layer's) stay
+  // 0 here; every other field is an argument.
+  auto golden = [](uint64_t nodes, uint64_t emitted, uint64_t pri,
+                   uint64_t max, uint64_t fallbacks, uint64_t full_scans) {
+    return QueryStats{nodes, emitted, pri, max, 0, fallbacks, full_scans, 0};
+  };
+
+  const CoreSetTopK<Range1DProblem, PrioritySearchTree> paper(
+      data, {.block_size = 4});
+  ASSERT_EQ(paper.f(), 720u);
+  ASSERT_GE(paper.num_chain_levels(), 2u);
+  ASSERT_GE(paper.num_large_k_core_sets(), 3u);
+  ExpectStatsEqual(golden(453201, 382536, 110, 0, 0, 8),
+                   GoldenMixTotals(paper, thm1_ks(paper.f())));
+  // The same mix with degenerate fetches sharded over 4 workers: the
+  // kernel charges its n scanned slots as nodes.
+  parallel::Context four(4);
+  ExpectStatsEqual(golden(648413, 382536, 110, 0, 0, 8),
+                   GoldenMixTotals(paper, thm1_ks(paper.f()), &four));
+
+  const CoreSetTopK<Range1DProblem, PrioritySearchTree> ablated(
+      data, {.block_size = 4, .constant_scale = 0.01});
+  ExpectStatsEqual(golden(302681, 234502, 350, 0, 10, 8),
+                   GoldenMixTotals(ablated, thm1_ks(ablated.f())));
+
+  // k = 2n pins each count test's own k clamp: the monitored probes
+  // clamp their budget to n, the exact count does not clamp.
+  const std::vector<size_t> baseline_ks = {1, 16, 720, 3000, n / 2, 2 * n};
+  const BinarySearchTopK<Range1DProblem, PrioritySearchTree> binary(data);
+  ExpectStatsEqual(golden(3571329, 2785821, 771, 0, 0, 0),
+                   GoldenMixTotals(binary, baseline_ks));
+
+  const CountingTopK<Range1DProblem, PrioritySearchTree, CountTree>
+      counting(data);
+  ExpectStatsEqual(golden(251493, 183658, 48, 723, 0, 0),
+                   GoldenMixTotals(counting, baseline_ks));
+
+  // At n = 30 a k = 2n search narrows to (lo, hi) = (n - 2, n). There
+  // the whole-range query passes a count test clamped to n, one more
+  // probe than an unclamped test takes: BinarySearchTopK pays it,
+  // CountingTopK does not.
+  Rng small_rng(30);
+  const std::vector<Point1D> small = test::RandomPoints1D(30, &small_rng);
+  ExpectStatsEqual(
+      golden(599, 419, 41, 0, 0, 0),
+      GoldenMixTotals(
+          BinarySearchTopK<Range1DProblem, PrioritySearchTree>(small), {60}));
+  ExpectStatsEqual(
+      golden(361, 91, 8, 32, 0, 0),
+      GoldenMixTotals(
+          CountingTopK<Range1DProblem, PrioritySearchTree, CountTree>(small),
+          {60}));
 }
 
 // The regression the satellite names: a prioritized query against the

@@ -1,6 +1,6 @@
-// Analyzer fixture (analyzed, never compiled): files under a
-// fault/ directory are a sanctioned home for real sleeps — the rule
-// must stay quiet here.
+// Analyzer fixture (analyzed, never compiled): fault/ is no home for
+// real sleeps (its spikes and backoff are accounting-only), so the
+// rule must fire here too.
 
 #ifndef TOPK_FAULT_SLEEPER_H_
 #define TOPK_FAULT_SLEEPER_H_
@@ -10,7 +10,7 @@
 
 namespace topk {
 
-inline void SanctionedBackoff() {
+inline void RealBackoff() {
   std::this_thread::sleep_for(std::chrono::nanoseconds(1));
 }
 

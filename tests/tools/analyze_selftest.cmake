@@ -30,8 +30,9 @@
 #   guard          a missing guard and a `#pragma once` (every other
 #                  fixture header carries its path-derived guard)
 #   namespace      a header without `namespace topk`
-#   sleep/io       one bare use each (suppressed uses and the fault/ and
-#                  em/ sanctioned homes stay clean)
+#   sleep/io       one bare use each, plus a sleep under fault/ (sleep
+#                  has no sanctioned home; suppressed uses and the em/
+#                  io home stay clean)
 #   tracer/function one bare use each (suppressed uses stay clean)
 #   epoch          a bare member of an epoch-published type (a
 #                  `// epoch:` member behind an access specifier, an
@@ -81,6 +82,7 @@ set(expected
   "/core/upward.h:9: [layering] include \"core/nonexistent.h\" does not resolve"
   "/core/upward.h:10: [layering] module 'core' may not include 'serve'"
   "/em/cycle_b.h:6: [layering] include cycle: em/cycle_a.h"
+  "/fault/sleeper.h:14: [sleep]"
   "/parallel/escalator.h:9: [layering] module 'parallel' may not include 'serve'"
   "/serve/epochy.h:18: [epoch]"
   "/serve/sleepy.h:13: [sleep]"

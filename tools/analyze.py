@@ -67,11 +67,10 @@ literal never fires and a literal such as "/*" hides nothing after it:
                `std::random_device`, `random_shuffle`) is banned outside
                common/random.h — all randomness flows through topk::Rng
                with explicit seeds so builds stay deterministic.
-  sleep        `sleep_for` / `sleep_until` is banned outside fault/
-               (simulated latency spikes and retry backoff, off by
-               default) — a sleep anywhere else either hides a missing
-               synchronization primitive or wrecks benchmark
-               determinism.
+  sleep        `sleep_for` / `sleep_until` is banned everywhere — a
+               sleep either hides a missing synchronization primitive
+               or wrecks benchmark determinism (fault/'s latency
+               spikes and retry backoff are accounting-only).
   tracer       a raw `trace::Tracer*` is null whenever tracing is
                disabled (the production default), so dereferencing one
                with `->` outside trace/ bypasses the null-safe
@@ -178,9 +177,9 @@ LINE_RULES = (
      "direct RNG use; draw from topk::Rng (common/random.h) with an "
      "explicit seed"),
     ("sleep", re.compile(r"\bsleep_(for|until)\s*\("),
-     lambda fm: fm.module != "fault",
-     "sleep_for/sleep_until outside src/fault/; a sleep hides a missing "
-     "sync primitive or wrecks benchmark determinism"),
+     lambda fm: True,
+     "sleep_for/sleep_until; a sleep hides a missing sync primitive or "
+     "wrecks benchmark determinism"),
     ("io", IO_RE,
      lambda fm: fm.module != "em",
      "raw file I/O outside src/em/; route bytes through ByteStorage / "
