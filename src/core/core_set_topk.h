@@ -15,7 +15,9 @@
 //     element of weight rank ceil(8*lambda*ln n) in q(R[i]) has weight
 //     rank [K, 4K] in q(D), so one prioritized fetch plus k-selection
 //     finishes. That rung is one Lemma2Step (core/top_f.h), the same
-//     function every chain level runs, with K and k_out = k;
+//     function every chain level runs, with K and k_out = k: it walks
+//     R[i]'s chain first and probes D with tau = -inf (budget 4K + 1)
+//     only when there is no usable pivot, or outright when n <= 4K;
 //   * queries with k >= n/2 scan.
 //
 // Correctness is unconditional: every sampled shortcut verifies its

@@ -8,12 +8,14 @@
 // stop shrinking, which cannot happen with the paper's constants).
 //
 // A top-f query at level j is one Lemma2Step with K = k_out = f whose
-// deeper set is level j + 1, reached recursively. Every level's top-f is
-// an unordered set: a level reads one rank (std::nth_element), never a
-// sorted run, so the chain sorts nothing; the enclosing CoreSetTopK
-// orders only the k it returns. An unlucky sample surfaces as nullopt
-// and the caller (CoreSetTopK) falls back to the binary-search
-// reduction.
+// deeper set is level j + 1, reached recursively before level j fetches
+// anything: the walk is bottom-up. The bottom level answers with one
+// complete fetch, and each level above reads its pivot from the level
+// below and fetches once. Every level's top-f is an unordered set: a
+// level reads one rank (std::nth_element), never a sorted run, so the
+// chain sorts nothing; the enclosing CoreSetTopK orders only the k it
+// returns. An unlucky sample surfaces as nullopt and the caller
+// (CoreSetTopK) falls back to the binary-search reduction.
 
 #ifndef TOPK_CORE_TOP_F_H_
 #define TOPK_CORE_TOP_F_H_
@@ -44,19 +46,26 @@ namespace topk {
 // flat source), for parameters K and k_out <= K. TopFChain runs it at
 // every level (K = k_out = f, deeper set = level j + 1); CoreSetTopK's
 // large-k ladder at rung i (K = 2^i f, k_out = k, deeper set = core-set
-// R[i]'s chain). The step:
-//   * probes with tau = -inf and budget 4K + 1; a complete probe means
-//     |q(X)| <= 4K and k-selection to k_out finishes;
-//   * on a budget hit, takes `deeper_top_f()` — the top-f of q(R) for a
-//     core-set R of X with parameter K, or nullopt when there is none or
-//     it failed — reads its element e of weight rank CoreSetRank(|X|)
-//     (Lemma 2: weight rank [K, 4K] within q(X) w.h.p.), and fetches
-//     {w >= w(e)} with budget 8K + 1 (2x slack), then k-selection;
-//   * fails (nullopt) when there is no such e, or unless that fetch
-//     completed with >= k_out matches.
+// R[i]'s chain). The step asks the deeper set first and probes only as
+// a fallback:
+//   * when |X| > 4K, `deeper_top_f()` is the top-f of q(R) for a
+//     core-set R of X with parameter K, or nullopt when there is none
+//     or it failed. If it holds at least CoreSetRank(|X|) elements, its
+//     element e of that weight rank (Lemma 2: weight rank [K, 4K]
+//     within q(X) w.h.p.) is the pivot: the step fetches {w >= w(e)}
+//     with budget 8K + 1 (2x slack), fails (nullopt) on a budget hit
+//     (rank too deep), and answers by k-selection when >= k_out match;
+//   * otherwise (|X| <= 4K, no pivot, or fewer than k_out matches reach
+//     it) the step probes with tau = -inf and budget 4K + 1. A complete
+//     probe means |q(X)| <= 4K and k-selection to k_out finishes; a
+//     budget hit fails.
+// So a chain's bottom level (<= 4f elements) answers with one complete
+// fetch and every level above it with one pivot fetch; no pool is
+// fetched only to be thrown away. The price is one descent per level
+// for ranges too small to expose a pivot, where a probe alone would do.
 // Returns the min(k_out, |q(X)|) heaviest of q(X), unordered, in a pool
-// borrowed from `scratch`. The probe pool and the deeper top-f each go
-// back to the arena before the next borrow, so no pool is held across
+// borrowed from `scratch`. The deeper top-f goes back to the arena
+// before the step borrows its own pool, so no pool is held across
 // deeper_top_f()'s recursion.
 template <typename Problem, typename Pri, typename DeeperTopF,
           typename E = typename Problem::Element>
@@ -65,31 +74,33 @@ std::optional<ScratchVec<E>> Lemma2Step(
     const typename Problem::Predicate& q, size_t K, size_t k_out,
     DeeperTopF&& deeper_top_f, Scratch* scratch, QueryStats* stats,
     trace::Tracer* tracer, parallel::Context* par) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  {
-    ScratchVec<E> probe = scratch->Borrow<E>();
-    if (!FetchTopKInto<Problem>(pri, flat, q, kNegInf, 4 * K + 1, k_out,
-                                scratch, &probe, stats, tracer, par)
-             .hit_budget) {
-      return probe;
+  std::optional<double> tau;  // the pivot's weight, when there is one
+  if (pri.size() > 4 * K) {
+    std::optional<ScratchVec<E>> deeper = deeper_top_f();
+    const size_t rank = CoreSetRank(pri.size(), Problem::kLambda, scale);
+    if (deeper.has_value() && deeper->size() >= rank) {
+      std::nth_element(deeper->begin(), deeper->begin() + (rank - 1),
+                       deeper->end(), ByWeightDesc());
+      tau = (*deeper)[rank - 1].weight;
     }
-  }  // budget-hit probe pool returns to the arena before recursing
-
-  std::optional<ScratchVec<E>> deeper = deeper_top_f();
-  const size_t rank = CoreSetRank(pri.size(), Problem::kLambda, scale);
-  if (!deeper.has_value() || deeper->size() < rank) return std::nullopt;
-  std::nth_element(deeper->begin(), deeper->begin() + (rank - 1),
-                   deeper->end(), ByWeightDesc());
-  const double tau = (*deeper)[rank - 1].weight;
-  deeper.reset();  // only tau survives; recycle the pool for the fetch
+  }  // only tau survives; the deeper pool returns to the arena
 
   ScratchVec<E> top = scratch->Borrow<E>();
-  const FetchVerdict fetched =
-      FetchTopKInto<Problem>(pri, flat, q, tau, 8 * K + 1, k_out, scratch,
-                             &top, stats, tracer, par,
-                             /*min_matched=*/k_out);
-  if (fetched.hit_budget) return std::nullopt;  // rank too deep
-  if (fetched.matched < k_out) return std::nullopt;  // rank too high
+  if (tau.has_value()) {
+    const FetchVerdict fetched =
+        FetchTopKInto<Problem>(pri, flat, q, *tau, 8 * K + 1, k_out, scratch,
+                               &top, stats, tracer, par,
+                               /*min_matched=*/k_out);
+    if (fetched.hit_budget) return std::nullopt;  // rank too deep
+    if (fetched.matched >= k_out) return top;
+  }  // no pivot, or rank too high: only a complete probe can answer
+  if (FetchTopKInto<Problem>(pri, flat, q,
+                             -std::numeric_limits<double>::infinity(),
+                             4 * K + 1, k_out, scratch, &top, stats, tracer,
+                             par)
+          .hit_budget) {
+    return std::nullopt;  // |q(X)| > 4K, yet no pivot answered
+  }
   return top;
 }
 

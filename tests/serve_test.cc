@@ -485,13 +485,6 @@ TEST(Metrics, ToJsonSurvivesSaturatedCounters) {
 
 // --- Engine tracing ------------------------------------------------------
 
-uint64_t SpanArgOr0(const trace::Tracer::Event& e, const char* name) {
-  for (size_t i = 0; i < e.num_args; ++i) {
-    if (std::strcmp(e.arg_names[i], name) == 0) return e.arg_values[i];
-  }
-  return 0;
-}
-
 // End-to-end attribution: with tracing on, the per-span self counts
 // summed across every tracer reproduce the merged QueryStats exactly,
 // and the slow-query log fills (threshold 1 ns). Runs under TSan in CI
@@ -525,7 +518,7 @@ TEST(QueryEngine, TracingAttributesEveryCounter) {
       if (e.kind != trace::Tracer::EventKind::kSpan) continue;
       if (std::strcmp(e.name, "request") == 0) ++request_spans;
       QueryStats::ForEachField([&sum, &e](const char* name, auto member) {
-        sum.*member += SpanArgOr0(e, name);
+        sum.*member += test::ArgOr0(e, name);
       });
     }
   }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "common/random.h"
 #include "common/weighted.h"
 #include "range1d/point1d.h"
+#include "trace/tracer.h"
 
 namespace topk::test {
 
@@ -114,6 +116,14 @@ std::vector<uint64_t> SortedIdsOf(std::vector<E> v) {
   std::vector<uint64_t> ids = IdsOf(v);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// The value of a recorded span's argument `name`, or 0 when absent.
+inline uint64_t ArgOr0(const trace::Tracer::Event& e, const char* name) {
+  for (size_t i = 0; i < e.num_args; ++i) {
+    if (std::strcmp(e.arg_names[i], name) == 0) return e.arg_values[i];
+  }
+  return 0;
 }
 
 }  // namespace topk::test

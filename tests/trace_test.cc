@@ -34,12 +34,7 @@ using range1d::Range1DProblem;
 using range1d::RangeMax;
 using trace::Tracer;
 
-uint64_t ArgOr0(const Tracer::Event& e, const char* name) {
-  for (size_t i = 0; i < e.num_args; ++i) {
-    if (std::strcmp(e.arg_names[i], name) == 0) return e.arg_values[i];
-  }
-  return 0;
-}
+using test::ArgOr0;
 
 bool HasArg(const Tracer::Event& e, const char* name) {
   for (size_t i = 0; i < e.num_args; ++i) {
