@@ -1,6 +1,6 @@
-// Shared benchmark helpers: deterministic workload generators and
+// Shared benchmark helpers: deterministic workload generators,
 // build-once caches (structure construction is expensive and must stay
-// out of the timed region).
+// out of the timed region) and a warm query loop.
 
 #ifndef TOPK_BENCH_BENCH_COMMON_H_
 #define TOPK_BENCH_BENCH_COMMON_H_
@@ -16,6 +16,9 @@
 
 #include "circle/circular.h"
 #include "common/random.h"
+#include "common/scratch.h"
+#include "common/stats.h"
+#include "core/problem.h"
 #include "dominance/point3.h"
 #include "enclosure/rect.h"
 #include "halfspace/point2.h"
@@ -103,6 +106,30 @@ void RegisterLazy(const std::string& name, size_t n, Build build, Run run) {
         state.counters["n"] = static_cast<double>(n);
       });
 }
+
+// A timed query loop's state, kept warm the way a serving worker keeps
+// it: one Scratch and one output vector reused by every call, so a timed
+// query never pays an arena's first-borrow allocations (topk::Query
+// builds both per call; keep it for untimed checks).
+template <TopKStructure S>
+class WarmQuery {
+ public:
+  explicit WarmQuery(const S& s) : s_(s) {}
+
+  // The k heaviest matches of q, heaviest first; valid until the next
+  // call.
+  const std::vector<typename S::Element>& operator()(
+      const typename S::Predicate& q, size_t k,
+      QueryStats* stats = nullptr) {
+    s_.QueryInto(q, k, &scratch_, &out_, stats, nullptr, nullptr);
+    return out_;
+  }
+
+ private:
+  const S& s_;
+  Scratch scratch_;
+  std::vector<typename S::Element> out_;
+};
 
 // Build-once cache: structures keyed by (n, seed). Benchmarks pull the
 // same instance across timing iterations.

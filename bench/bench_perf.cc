@@ -7,7 +7,10 @@
 // (per-worker arenas + recycled slots); plus the SelectTopK strategy
 // crossover sweep that fixes the k*log2(|pool|) < |pool| boundary in
 // common/kselect.h; plus the price of ordering a Theorem 1 top-f
-// (SelectTopK vs SelectTopKUnordered at the chain's pool shapes).
+// (SelectTopK vs SelectTopKUnordered at the chain's pool shapes); plus
+// the ordering sweep that fixes SortHeaviestFirst's std::sort -> radix
+// crossover (kRadixSortMin), which also hard-checks that both orders
+// are id-identical.
 //
 // Allocations are counted by replacing the global operator new in this
 // TU (process-wide, so the figure covers reductions, substrates, and
@@ -284,6 +287,50 @@ void CrossoverRow(const std::vector<Point1D>& base,
               heap_won == shipped ? "yes" : "NO");
 }
 
+// ---- Ordering crossover: std::sort vs the radix path of
+// SortHeaviestFirst, on a warm pair of work buffers (as a warm arena
+// lends them). Both orders must be id-identical: a wrong radix order
+// fails the run, and with it CI's bench smoke.
+void OrderingRow(const char* weights, const std::vector<Point1D>& base,
+                 std::vector<Point1D>* buf) {
+  const size_t m = base.size();
+  std::vector<RadixItem> items;
+  std::vector<Point1D> gather;
+  auto by_sort = [](std::vector<Point1D>* b) {
+    std::sort(b->begin(), b->end(), ByWeightDesc());
+  };
+  auto by_radix = [&](std::vector<Point1D>* b) {
+    kselect_internal::RadixSortHeaviestFirst(b, &items, &gather);
+  };
+  std::vector<Point1D> want = base;
+  by_sort(&want);
+  *buf = base;
+  by_radix(buf);
+  TOPK_CHECK_EQ(buf->size(), m);
+  for (size_t i = 0; i < m; ++i) TOPK_CHECK_EQ((*buf)[i].id, want[i].id);
+  double sort_ns = 1e300, radix_ns = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    sort_ns = std::min(sort_ns, TimeSelect(base, buf, by_sort));
+    radix_ns = std::min(radix_ns, TimeSelect(base, buf, by_radix));
+  }
+  const bool radix_won = radix_ns < sort_ns;
+  const bool shipped = m >= kRadixSortMin;
+  std::printf("%8s %8zu %12.1f %12.1f %9.2fx %9s %9s %6s\n", weights, m,
+              sort_ns / 1e3, radix_ns / 1e3, sort_ns / radix_ns,
+              radix_won ? "radix" : "std::sort",
+              shipped ? "radix" : "std::sort",
+              radix_won == shipped ? "yes" : "NO");
+}
+
+// Pool of m elements whose weights repeat: m/8 + 1 integer values, so
+// the equal-weight id fix-up runs on nearly every element.
+std::vector<Point1D> ClumpedPool(size_t m, uint64_t seed) {
+  std::vector<Point1D> pool = bench::Points1D(m, seed);
+  Rng rng(seed);
+  for (Point1D& p : pool) p.weight = static_cast<double>(rng.Below(m / 8 + 1));
+  return pool;
+}
+
 // ---- Chain-level selection: what sorting a top-f costs. Theorem 1's
 // TopFChain cuts every level's pool to f — a completed probe of up to
 // 4f + 1 and a pivot fetch of up to 8f — and reads one rank of it, so
@@ -369,8 +416,25 @@ void Run() {
     ChainSelectRow(base, &buf, kChainF);
   }
   std::printf(
+      "\nOrdering crossover vs the shipped kRadixSortMin = %zu\n"
+      "(common/kselect.h SortHeaviestFirst): std::sort(ByWeightDesc) vs\n"
+      "the radix path on warm work buffers, id-identical orders checked\n",
+      kRadixSortMin);
+  std::printf("%8s %8s %12s %12s %10s %9s %9s %6s\n", "weights", "m",
+              "sort us", "radix us", "speedup", "winner", "shipped",
+              "agree");
+  for (const bool clumped : {false, true}) {
+    for (size_t m = 256; m <= (size_t{1} << 17); m *= 2) {
+      const std::vector<Point1D> base =
+          clumped ? ClumpedPool(m, 79) : bench::Points1D(m, 79);
+      std::vector<Point1D> buf;
+      buf.reserve(m);
+      OrderingRow(clumped ? "clumped" : "uniform", base, &buf);
+    }
+  }
+  std::printf(
       "\nExpected shape: scratch path within noise of (or faster than)\n"
-      "the alloc path with 0 allocs/q once warm; the shipped rule agrees\n"
+      "the alloc path with 0 allocs/q once warm; the shipped rules agree\n"
       "with the measured winner except within noise of the boundary,\n"
       "where the two strategies are near-equal cost; the chain rows'\n"
       "\"saved\" column is the sort each chain fetch no longer pays.\n");

@@ -189,7 +189,7 @@ class CoreSetTopK {
     }
     // The one sort: the chain's top-f and the ladder's pool are
     // unordered; order only the min(k, |top|) that leave.
-    SelectTopK(&top->vec(), k);
+    SelectTopK(&top->vec(), k, scratch);
     out->assign(top->begin(), top->end());
   }
 

@@ -29,11 +29,11 @@ class ScanTopK {
   size_t size() const { return data_.size(); }
 
   // The k heaviest elements of q(D), heaviest first, into *out (cleared
-  // first). The matches are collected straight into *out, so a warm
-  // *out serves the query with zero heap allocations; `scratch`,
-  // `tracer` and `par` are unused (there is nothing to borrow, trace or
-  // shard beyond the one pass).
-  void QueryInto(const Predicate& q, size_t k, Scratch* /*scratch*/,
+  // first). The matches are collected straight into *out and ordered
+  // with work buffers borrowed from `scratch`, so a warm *out and arena
+  // serve the query with zero heap allocations; `tracer` and `par` are
+  // unused (there is nothing to trace or shard beyond the one pass).
+  void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* /*tracer*/ = nullptr,
                  parallel::Context* /*par*/ = nullptr) const {
@@ -43,7 +43,7 @@ class ScanTopK {
     for (const Element& e : data_) {
       if (Problem::Matches(q, e)) out->push_back(e);
     }
-    SelectTopK(out, k);
+    SelectTopK(out, k, scratch);
   }
 
  private:

@@ -220,7 +220,7 @@ FetchVerdict FetchTopKInto(const Pri& pri,
     } else if constexpr (kBorrowed) {
       SelectTopKUnordered(pool, k);
     } else {
-      SelectTopK(pool, k);
+      SelectTopK(pool, k, scratch);
     }
     return verdict;
   };

@@ -483,7 +483,7 @@ class Coordinator {
           pool.push_back(e);
         }
       }
-      SelectTopK(&pool.vec(), k);
+      SelectTopK(&pool.vec(), k, &scratch_);
       // TA retirement: once the pool holds k candidates, a live shard
       // whose lightest pulled element does not beat the global k-th
       // has nothing left that could enter the answer.

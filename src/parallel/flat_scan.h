@@ -29,8 +29,11 @@
 // would pile a wide range's matches onto a few shards). Each shard
 // prunes into its own pool with SelectTopKUnordered, then finishes on
 // its own thread with SelectTopK: the pool becomes a sorted run holding
-// that shard's top-min(k, |pool|), heaviest first (the E24 strategy
-// rule applies per run).
+// that shard's top-min(k, |pool|), heaviest first. The E24 strategy
+// rule applies per run, and so does SortHeaviestFirst's crossover: at
+// export-size k every shard's whole pool is its run, and a pool of
+// kRadixSortMin or more elements is ordered by the linear radix path in
+// that shard's own borrowed work buffers.
 //
 // Region 2: the output is want = min(k, total run length) elements.
 // Shard j owns output ranks [want*j/S, want*(j+1)/S). It finds its
@@ -56,10 +59,11 @@
 // calling thread, so span self-costs still telescope to QueryStats
 // totals and helpers never touch stats or tracers.
 //
-// Scratch: all shard pools are borrowed from the QUERY's Scratch by the
-// calling thread before the first region; helpers only ever touch the
-// borrowed vectors' contents, never arena bookkeeping. The merge writes
-// into *out after one resize, so a warm output buffer never allocates.
+// Scratch: all shard pools, and each shard's radix work buffers, are
+// borrowed from the QUERY's Scratch by the calling thread before the
+// first region; helpers only ever touch the borrowed vectors' contents,
+// never arena bookkeeping. The merge writes into *out after one resize,
+// so a warm output buffer never allocates.
 
 #ifndef TOPK_PARALLEL_FLAT_SCAN_H_
 #define TOPK_PARALLEL_FLAT_SCAN_H_
@@ -243,11 +247,15 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
 
   std::array<std::optional<ScratchVec<Element>>, kMaxShards> pools;
   std::array<std::optional<ScratchVec<uint32_t>>, kMaxShards> idxs;
+  std::array<std::optional<ScratchVec<RadixItem>>, kMaxShards> sort_items;
+  std::array<std::optional<ScratchVec<Element>>, kMaxShards> gathers;
   std::array<size_t, kMaxShards> matched{};
   for (size_t s = 0; s < shards; ++s) {
     pools[s].emplace(scratch->Borrow<Element>());
     idxs[s].emplace(scratch->Borrow<uint32_t>());
     (*idxs[s]).resize(kBlock);
+    sort_items[s].emplace(scratch->Borrow<RadixItem>());
+    gathers[s].emplace(scratch->Borrow<Element>());
   }
 
   // Per-shard pools are pruned back to k whenever they reach this, and
@@ -301,7 +309,8 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
       }
     }
     matched[s] = count;
-    SelectTopK(&pool, k);  // the shard's sorted local run
+    // The shard's sorted local run.
+    SelectTopK(&pool, k, &(*sort_items[s]).vec(), &(*gathers[s]).vec());
   };
 
   if (shards == 1) {
@@ -347,7 +356,7 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
       }
     }
     TOPK_CHECK_EQ(total, audit_pool.size());
-    SelectTopK(&audit_pool.vec(), k);
+    SelectTopK(&audit_pool.vec(), k, scratch);
     TOPK_CHECK_EQ(out->size(), audit_pool.size());
     for (size_t i = 0; i < audit_pool.size(); ++i) {
       TOPK_CHECK_EQ((*out)[i].id, audit_pool[i].id);

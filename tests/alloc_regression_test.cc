@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kselect.h"
 #include "common/random.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
@@ -384,11 +385,14 @@ TEST(AllocRegression, IntraQueryParallelZeroSteadyStateAllocs) {
 // Deep k at n = 2^14: the whole-domain requests return more than
 // kMinShardedN elements, so the sorted local runs are merged by the
 // co-ranked sharded merge (a second parallel region writing straight
-// into the warm result slot) — still zero allocations.
+// into the warm result slot), and each of the 4 shards orders its whole
+// n/4-element pool on the radix path, in work buffers the calling
+// thread borrowed for it — still zero allocations.
 TEST(AllocRegression, ShardedMergeZeroSteadyStateAllocs) {
   TOPK_SKIP_UNDER_SANITIZERS();
   constexpr size_t kDeepN = size_t{1} << 14;
   static_assert(kDeepN / 2 >= parallel::kMinShardedN);
+  static_assert(kDeepN / 4 >= kRadixSortMin);
   {
     Thm1 s(ShardableData(kDeepN));
     ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
@@ -405,6 +409,30 @@ TEST(AllocRegression, ShardedMergeZeroSteadyStateAllocs) {
     Counting s(ShardableData(kDeepN));
     ExpectZeroAllocSteadyStateIntraParallel(s, kDeepN);
   }
+}
+
+// Serial deep k: Thm 2's terminal scan and the scan order more than
+// kRadixSortMin survivors on the request worker itself, in radix work
+// buffers borrowed from its arena — zero allocations once warm.
+TEST(AllocRegression, SerialDeepKZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  constexpr size_t kDeepN = size_t{1} << 13;
+  static_assert(kDeepN / 2 >= kRadixSortMin);
+  Rng rng(1357);
+  const std::vector<Point1D> data = test::RandomPoints1D(kDeepN, &rng);
+  std::vector<serve::Request<Range1D>> requests;
+  for (const Range1D q :
+       {Range1D{0.0, 1.0}, Range1D{0.1, 0.9}, Range1D{0.3, 0.6}}) {
+    for (const size_t k : {size_t{16}, kRadixSortMin, kDeepN / 2 + 1,
+                           kDeepN}) {
+      serve::Request<Range1D> r;
+      r.predicate = q;
+      r.k = k;
+      requests.push_back(r);
+    }
+  }
+  ExpectZeroAllocBatches(Thm2(data), data, requests);
+  ExpectZeroAllocBatches(ScanTopK<Range1DProblem>(data), data, requests);
 }
 
 // Live heap bytes `make()`'s result holds while it is alive.

@@ -334,6 +334,9 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
 TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
   constexpr size_t kN = 12000;
   static_assert(kN / 2 >= parallel::kMinShardedN);
+  // Up to 3 shards, a cut matching everything at k >= m has each shard
+  // order its whole pool on the radix path, on the helper's own thread.
+  static_assert(kN / 3 >= kRadixSortMin);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(103);
   const std::vector<std::vector<Point1D>> inputs = {

@@ -35,6 +35,8 @@
 #include "parallel/context.h"
 #include "range1d/count_tree.h"
 #include "range1d/direct_topk.h"
+#include "range1d/dyn_pst.h"
+#include "range1d/dyn_range_max.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -44,6 +46,8 @@ namespace topk {
 namespace {
 
 using range1d::CountTree;
+using range1d::DynamicPst;
+using range1d::DynamicRangeMax;
 using range1d::HeapSelectTopK;
 using range1d::Point1D;
 using range1d::PrioritySearchTree;
@@ -116,7 +120,10 @@ TEST(StatsAccounting, CountingChargesMatchAuditMirror) {
 // query mix, against recorded constants. The baselines' rows date from
 // before the threshold search was folded into one function; the Thm 1
 // rows were re-recorded when the Lemma 2 step began walking bottom-up
-// (deeper pivot first, no budget-hit probe thrown away). The
+// (deeper pivot first, no budget-hit probe thrown away). The Thm 2 rows
+// (static serial, static with the terminal scan sharded over 4 workers,
+// dynamic after updates) pin its round work: every round's probe, max
+// query and fetch, and the terminal full scan at deep k. The
 // audit-mirror tests above compare two runs of the same code; these
 // pin what that code does. n = 2^15 and B = 4 give Thm 1 f = 720 with a
 // multi-level chain and a ladder of rungs, so the mix reaches the
@@ -187,6 +194,29 @@ TEST(StatsAccounting, GoldenCountersAtFixedSeed) {
       counting(data);
   ExpectStatsEqual(golden(251493, 183658, 48, 723, 0, 0),
                    GoldenMixTotals(counting, baseline_ks));
+
+  // Thm 2 also counts rounds; it never falls back.
+  auto golden_thm2 = [](uint64_t nodes, uint64_t emitted, uint64_t pri,
+                        uint64_t max, uint64_t rounds, uint64_t full_scans) {
+    return QueryStats{nodes, emitted, pri, max, rounds, 0, full_scans, 0};
+  };
+  const SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax> sampled(
+      data);
+  ExpectStatsEqual(golden_thm2(543130, 499177, 150, 61, 73, 16),
+                   GoldenMixTotals(sampled, baseline_ks));
+  // k >= n/2 ends in the terminal scan, sharded here: the kernel charges
+  // its n scanned slots as nodes.
+  ExpectStatsEqual(golden_thm2(868438, 499177, 150, 61, 73, 16),
+                   GoldenMixTotals(sampled, baseline_ks, &four));
+  SampledTopK<Range1DProblem, DynamicPst, DynamicRangeMax> dynamic(data);
+  Rng update_rng(2017);
+  for (size_t i = 0; i < 1024; ++i) {
+    dynamic.Erase(data[i]);
+    dynamic.Insert({update_rng.NextDouble(), update_rng.NextDouble() * 1000.0,
+                    n + 1 + i});
+  }
+  ExpectStatsEqual(golden_thm2(537817, 497768, 146, 59, 71, 16),
+                   GoldenMixTotals(dynamic, baseline_ks));
 
   // At n = 30 a k = 2n search narrows to (lo, hi) = (n - 2, n). There
   // the whole-range query passes a count test clamped to n, one more
