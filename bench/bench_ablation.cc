@@ -1,64 +1,129 @@
-// E15 — ablation of the paper's worst-case constants. Theorem 1 sets
+// E15 — ablation of the paper's constants. Theorem 1 sets
 // f = 12*lambda*B*Q_pri(n) and the Lemma 2 pivot rank to
 // ceil(8*lambda*ln n); these guarantee the w.h.p. analysis but are
-// conservative on realistic inputs. constant_scale multiplies both.
+// conservative on realistic inputs. Two knobs scale them:
 //
-// Measured: query latency, fallback rate, and structure shape as the
-// scale shrinks. Expected: latency improves substantially below scale
-// 1.0 (smaller f => smaller monitored budgets) until fallbacks start to
-// dominate; answers stay exact at every scale (verified fallback).
+//   * constant_scale multiplies both (at the paper's B = 64).
+//     Expected: latency improves substantially below scale 1.0 (smaller
+//     f => smaller monitored budgets) until fallbacks start to dominate.
+//   * B, the block size. In RAM a block is not a unit of cost, so B only
+//     scales f (and Theorem 2's K_1 = B*Q_max). The sweep prices every B
+//     at serve-thm1's shape (n = 2^17, uniform ranges, k = 16 and
+//     k = 1024) over three structure seeds: f, the structure's shape, a
+//     deterministic space proxy (elements indexed across every
+//     prioritized structure), emitted/query, fallbacks and warm time.
+//     kRamBlockSizeThm1 is the smallest B with 0 fallbacks whose
+//     serve-thm1 rss_mb stays within 5% of B = 64's; the run aborts if
+//     the shipped constant falls back, exceeds kSpaceProxyBound or
+//     answers inexactly. A Theorem 2 block at n = 2^15, k = 64 records
+//     the same sweep for its K_1.
+//
+// Answers stay exact at every setting (verified fallback).
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/check.h"
+#include "common/kselect.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/core_set_topk.h"
+#include "core/reduction_options.h"
+#include "core/sampled_topk.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
+#include "range1d/range_max.h"
 
 namespace topk {
 namespace {
 
+using range1d::Point1D;
 using range1d::PrioritySearchTree;
+using range1d::Range1D;
 using range1d::Range1DProblem;
+using range1d::RangeMax;
+using Thm1 = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
+using Thm2 = SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>;
 
-// Keep the result alive without google-benchmark.
-template <typename T>
-void benchmark_keep(T&& value) {
-  asm volatile("" : : "g"(&value) : "memory");
+constexpr size_t kBlockSizes[] = {1, 2, 4, 8, 16, 32, 64};
+constexpr uint64_t kStructureSeeds[] = {1, 2, 3};
+constexpr int kTimedPasses = 3;
+// The indexed-elements bound on the shipped Thm 1 row. The proxy counts
+// only the reduction's own structures, so it overstates a process's
+// growth: on serve-thm1 rss_mb stayed within +5% of B = 64's where the
+// proxy read +7% (B = 16), and did not where it read +13% (B = 8).
+constexpr double kSpaceProxyBound = 1.10;
+
+std::vector<Range1D> UniformRanges(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Range1D> out(count);
+  for (Range1D& q : out) {
+    double a = rng.NextDouble(), b = rng.NextDouble();
+    if (a > b) std::swap(a, b);
+    q = {a, b};
+  }
+  return out;
 }
 
-void Run() {
+// One pass of `queries` at k through a warm arena, counted into *stats
+// when non-null; returns µs/query.
+template <typename S>
+double PassMicros(bench::WarmQuery<S>* query,
+                  const std::vector<Range1D>& queries, size_t k,
+                  QueryStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  for (const Range1D& q : queries) {
+    const std::vector<Point1D>& got = (*query)(q, k, stats);
+    asm volatile("" : : "g"(got.data()) : "memory");
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  return std::chrono::duration<double, std::micro>(elapsed).count() /
+         static_cast<double>(queries.size());
+}
+
+// Work counters from one untimed pass (deterministic), time as the
+// minimum over kTimedPasses passes, all on one warm arena.
+template <typename S>
+double CountAndTime(const S& s, const std::vector<Range1D>& queries,
+                    size_t k, QueryStats* stats) {
+  bench::WarmQuery<S> query(s);
+  PassMicros(&query, queries, k, stats);
+  double best = 1e300;
+  for (int pass = 0; pass < kTimedPasses; ++pass) {
+    best = std::min(best, PassMicros(&query, queries, k, nullptr));
+  }
+  return best;
+}
+
+double PerQuery(uint64_t total, size_t queries) {
+  return static_cast<double>(total) / static_cast<double>(queries);
+}
+
+void ScaleRows() {
   std::printf(
-      "E15: Theorem 1 constant ablation (1D range, n=2^18, k=16,\n"
-      "4000 queries per row)\n");
+      "E15a: Theorem 1 constant ablation at B = 64 (1D range, n=2^18,\n"
+      "k=16, 4000 queries per row, warm arena)\n");
   std::printf("%8s %10s %8s %10s %12s %14s\n", "scale", "f", "levels",
               "coresets", "fallback%", "us/query");
   const size_t n = 1 << 18;
-  std::vector<range1d::Point1D> data = bench::Points1D(n, 5);
+  const std::vector<Point1D> data = bench::Points1D(n, 5);
+  const std::vector<Range1D> queries = UniformRanges(4000, 6);
   for (double scale : {1.0, 0.5, 0.2, 0.1, 0.05, 0.02}) {
-    ReductionOptions opts;
-    opts.constant_scale = scale;
-    CoreSetTopK<Range1DProblem, PrioritySearchTree> s(data, opts);
-    Rng rng(6);
+    const Thm1 s(data, {.block_size = 64, .constant_scale = scale});
+    bench::WarmQuery<Thm1> query(s);
+    query(Range1D{0.0, 1.0}, 16);  // warms the arena, untimed
     QueryStats stats;
-    const int trials = 4000;
-    const auto start = std::chrono::steady_clock::now();
-    for (int t = 0; t < trials; ++t) {
-      double a = rng.NextDouble(), b = rng.NextDouble();
-      if (a > b) std::swap(a, b);
-      benchmark_keep(topk::Query(s, {a, b}, 16, &stats));
-    }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double us =
-        std::chrono::duration<double, std::micro>(elapsed).count() /
-        trials;
+    const double us = PassMicros(&query, queries, 16, &stats);
     std::printf("%8.2f %10zu %8zu %10zu %11.2f%% %14.2f\n", scale, s.f(),
                 s.num_chain_levels(), s.num_large_k_core_sets(),
-                100.0 * static_cast<double>(stats.fallbacks) / trials, us);
+                100.0 * PerQuery(stats.fallbacks, queries.size()), us);
   }
   std::printf(
       "\nExpected shape: microseconds/query drop as scale shrinks (f\n"
@@ -66,10 +131,136 @@ void Run() {
       "enough to pay the O(log n)-probe baseline on unlucky queries.\n");
 }
 
+// Elements indexed by every prioritized structure Theorem 1 builds: the
+// small-k chain's levels (level 0 is D) and each ladder chain's levels.
+size_t IndexedElements(const Thm1& s) {
+  size_t total = 0;
+  auto add_chain = [&total](const auto& chain) {
+    for (size_t j = 0; j < chain.num_levels(); ++j) {
+      total += chain.level_size(j);
+    }
+  };
+  add_chain(s.small_k_chain());
+  for (size_t i = 0; i < s.num_large_k_core_sets(); ++i) {
+    add_chain(s.large_k_chain(i));
+  }
+  return total;
+}
+
+// Aborts unless every sampled answer equals brute force.
+void CheckExact(const Thm1& s, const std::vector<Point1D>& data,
+                std::span<const Range1D> queries, size_t k) {
+  for (const Range1D& q : queries) {
+    std::vector<Point1D> want;
+    for (const Point1D& e : data) {
+      if (Range1DProblem::Matches(q, e)) want.push_back(e);
+    }
+    SelectTopK(&want, k);
+    const std::vector<Point1D> got = topk::Query(s, q, k);
+    TOPK_CHECK_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      TOPK_CHECK_EQ(got[i].id, want[i].id);
+    }
+  }
+}
+
+void Thm1BlockSizeRows() {
+  constexpr size_t kN = size_t{1} << 17;
+  constexpr size_t kSmallK = 16;
+  constexpr size_t kLargeK = 1024;
+  std::printf(
+      "\nE15b: Theorem 1 block size B (serve-thm1's shape: n=2^17 uniform,\n"
+      "uniform ranges; 512 queries at k=16, 128 at k=1024; counters from\n"
+      "one untimed pass, us/query min of %d warm passes; shipped RAM\n"
+      "default kRamBlockSizeThm1 = %zu)\n",
+      kTimedPasses, kRamBlockSizeThm1);
+  std::printf("%4s %5s %6s %7s %6s %9s %7s %9s %9s %10s %9s %9s\n", "B",
+              "seed", "f", "levels", "rungs", "indexed", "vs64",
+              "em/q k16", "em/q 1024", "fallback%", "us k16", "us 1024");
+  const std::vector<Point1D> data = bench::Points1D(kN, 21);
+  const std::vector<Range1D> small_qs = UniformRanges(512, 22);
+  const std::vector<Range1D> large_qs = UniformRanges(128, 23);
+
+  // Space at B = 64 per seed, the reference of the vs64 column.
+  std::vector<size_t> space64;
+  for (const uint64_t seed : kStructureSeeds) {
+    space64.push_back(
+        IndexedElements(Thm1(data, {.block_size = 64, .seed = seed})));
+  }
+  for (const size_t b : kBlockSizes) {
+    for (size_t si = 0; si < std::size(kStructureSeeds); ++si) {
+      const Thm1 s(data, {.block_size = b, .seed = kStructureSeeds[si]});
+      QueryStats small_stats, large_stats;
+      const double small_us = CountAndTime(s, small_qs, kSmallK,
+                                           &small_stats);
+      const double large_us = CountAndTime(s, large_qs, kLargeK,
+                                           &large_stats);
+      const uint64_t fallbacks = small_stats.fallbacks +
+                                 large_stats.fallbacks;
+      const size_t indexed = IndexedElements(s);
+      const double vs64 = static_cast<double>(indexed) /
+                          static_cast<double>(space64[si]);
+      std::printf(
+          "%4zu %5llu %6zu %7zu %6zu %9zu %7.3f %9.1f %9.1f %9.2f%% "
+          "%9.1f %9.1f\n",
+          b, static_cast<unsigned long long>(kStructureSeeds[si]), s.f(),
+          s.num_chain_levels(), s.num_large_k_core_sets(), indexed, vs64,
+          PerQuery(small_stats.elements_emitted, small_qs.size()),
+          PerQuery(large_stats.elements_emitted, large_qs.size()),
+          100.0 * PerQuery(fallbacks, small_qs.size() + large_qs.size()),
+          small_us, large_us);
+      if (b == kRamBlockSizeThm1) {
+        // The shipped default: no fallback, space within the proxy
+        // bound, and exact on a sample.
+        TOPK_CHECK_EQ(fallbacks, uint64_t{0});
+        TOPK_CHECK(vs64 <= kSpaceProxyBound);
+        CheckExact(s, data, std::span(small_qs).first(32), kSmallK);
+        CheckExact(s, data, std::span(large_qs).first(8), kLargeK);
+      }
+    }
+  }
+  std::printf(
+      "\nShipped kRamBlockSizeThm1 = %zu: 0 fallbacks, indexed <= %.2fx\n"
+      "B = 64's on every seed, answers checked exact against brute force\n",
+      kRamBlockSizeThm1, kSpaceProxyBound);
+}
+
+void Thm2BlockSizeRows() {
+  constexpr size_t kN = size_t{1} << 15;
+  constexpr size_t kK = 64;
+  std::printf(
+      "\nE15c: Theorem 2 block size B, recorded only (n=2^15 uniform,\n"
+      "512 uniform ranges at k=64; shipped RAM default\n"
+      "kRamBlockSizeThm2 = %zu)\n",
+      kRamBlockSizeThm2);
+  std::printf("%4s %5s %8s %7s %9s %10s %10s %9s\n", "B", "seed", "K_1",
+              "levels", "sampled", "emitted/q", "rounds/q", "us/query");
+  const std::vector<Point1D> data = bench::Points1D(kN, 31);
+  const std::vector<Range1D> queries = UniformRanges(512, 32);
+  for (const size_t b : kBlockSizes) {
+    for (const uint64_t seed : kStructureSeeds) {
+      const Thm2 s(data, {.block_size = b, .seed = seed});
+      size_t sampled = 0;
+      for (size_t i = 0; i < s.num_sample_levels(); ++i) {
+        sampled += s.sample_level_size(i);
+      }
+      QueryStats stats;
+      const double us = CountAndTime(s, queries, kK, &stats);
+      std::printf("%4zu %5llu %8.0f %7zu %9zu %10.1f %10.2f %9.2f\n", b,
+                  static_cast<unsigned long long>(seed), s.base_k(),
+                  s.num_sample_levels(), sampled,
+                  PerQuery(stats.elements_emitted, queries.size()),
+                  PerQuery(stats.rounds, queries.size()), us);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace topk
 
 int main() {
-  topk::Run();
+  topk::ScaleRows();
+  topk::Thm1BlockSizeRows();
+  topk::Thm2BlockSizeRows();
   return 0;
 }

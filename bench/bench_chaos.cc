@@ -78,7 +78,7 @@ Row Measure(double fault_rate, const std::vector<Point1D>& data,
   auto pri_factory = [&pool](std::vector<Point1D> v) {
     return EmRange1dPrioritized(&pool, std::move(v));
   };
-  const EmTopK topk(data, ReductionOptions{}, pri_factory);
+  const EmTopK topk(data, ReductionOptions{.block_size = 64}, pri_factory);
   const FallibleTopK<EmTopK> fallible(&topk, &pool);
   base.ResetCounters();
 

@@ -131,6 +131,19 @@ class WarmQuery {
   std::vector<typename S::Element> out_;
 };
 
+// Work counters of `count` queries at k, each drawn by `draw(&rng)` from
+// a fixed seed and run untimed through a warm arena. A per-query counter
+// printed from them is the same on every run, whatever iteration count
+// google-benchmark picks for the timed loop.
+template <TopKStructure S, typename Draw>
+QueryStats FixedQueryStats(const S& s, size_t k, size_t count, Draw draw) {
+  WarmQuery<S> query(s);
+  Rng rng(0xc0de);
+  QueryStats stats;
+  for (size_t i = 0; i < count; ++i) query(draw(&rng), k, &stats);
+  return stats;
+}
+
 // Build-once cache: structures keyed by (n, seed). Benchmarks pull the
 // same instance across timing iterations.
 template <typename S>

@@ -103,9 +103,9 @@ void FallbackTable() {
               "fallbacks", "rate");
   std::vector<Point1D> data = bench::Points1D(100000, 13);
   for (double scale : {1.0, 0.2, 0.05, 0.01}) {
-    ReductionOptions opts;
-    opts.constant_scale = scale;
-    CoreSetTopK<Range1DProblem, PrioritySearchTree> s(data, opts);
+    // The paper's B = 64: these are its constants, ablated.
+    const CoreSetTopK<Range1DProblem, PrioritySearchTree> s(
+        data, {.block_size = 64, .constant_scale = scale});
     Rng rng(3);
     QueryStats stats;
     const int trials = 2000;

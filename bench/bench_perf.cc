@@ -335,7 +335,8 @@ std::vector<Point1D> ClumpedPool(size_t m, uint64_t seed) {
 // TopFChain cuts every level's pool to f — a completed probe of up to
 // 4f + 1 and a pivot fetch of up to 8f — and reads one rank of it, so
 // it selects with SelectTopKUnordered; SelectTopK's extra sort is paid
-// only at the exit. f = 4352 is serve-thm1's (n = 2^17, B = 64).
+// only at the exit. At n = 2^17, f = 1632 is serve-thm1's (the RAM
+// default B = kRamBlockSizeThm1 = 16) and f = 4352 the paper's B = 64.
 void ChainSelectRow(const std::vector<Point1D>& base,
                     std::vector<Point1D>* buf, size_t f) {
   double ordered_ns = 1e300, unordered_ns = 1e300;
@@ -404,16 +405,18 @@ void Run() {
     }
   }
   std::printf(
-      "\nChain-level selection at f = 4352 (serve-thm1): SelectTopK\n"
-      "(ordered) vs SelectTopKUnordered, pool m cut to f\n");
+      "\nChain-level selection at n = 2^17: f = 1632 (serve-thm1, RAM\n"
+      "B = 16) and f = 4352 (B = 64). SelectTopK (ordered) vs\n"
+      "SelectTopKUnordered, pool m cut to f\n");
   std::printf("%8s %8s %12s %12s %12s\n", "m", "f", "ordered us",
               "unord us", "saved us");
-  constexpr size_t kChainF = 4352;
-  for (const size_t m : {4 * kChainF + 1, 8 * kChainF}) {
-    const std::vector<Point1D> base = bench::Points1D(m, 73);
-    std::vector<Point1D> buf;
-    buf.reserve(m);
-    ChainSelectRow(base, &buf, kChainF);
+  for (const size_t f : {size_t{1632}, size_t{4352}}) {
+    for (const size_t m : {4 * f + 1, 8 * f}) {
+      const std::vector<Point1D> base = bench::Points1D(m, 73);
+      std::vector<Point1D> buf;
+      buf.reserve(m);
+      ChainSelectRow(base, &buf, f);
+    }
   }
   std::printf(
       "\nOrdering crossover vs the shipped kRadixSortMin = %zu\n"

@@ -34,42 +34,41 @@ Range1D RandomWideQuery(Rng* rng) {
   return {a, a + 0.7};
 }
 
-void BM_Thm1CoreSet_K(benchmark::State& state) {
+// Per-query work comes from this many fixed queries, run untimed.
+constexpr size_t kCountedQueries = 128;
+
+// Times random wide queries at k through a warm arena; emitted/query
+// comes from kCountedQueries fixed untimed ones.
+template <typename S>
+void TimeQueriesAtK(benchmark::State& state, const S& s) {
   const size_t k = static_cast<size_t>(state.range(0));
-  using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
-  const S& s = bench::Cached<S>(kN, 1, [](size_t m, uint64_t seed) {
-    return S(bench::Points1D(m, seed));
-  });
+  const QueryStats stats =
+      bench::FixedQueryStats(s, k, kCountedQueries, RandomWideQuery);
   bench::WarmQuery<S> query(s);
   query(Range1D{0.0, 0.7}, k);  // warms the arena, untimed
   Rng rng(7);
-  QueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query(RandomWideQuery(&rng), k, &stats).data());
+    benchmark::DoNotOptimize(query(RandomWideQuery(&rng), k).data());
   }
   state.counters["k"] = static_cast<double>(k);
   state.counters["emitted/query"] =
       static_cast<double>(stats.elements_emitted) /
-      static_cast<double>(state.iterations());
+      static_cast<double>(kCountedQueries);
+}
+
+// The paper's shape: B = 64, the EM block the theorem is stated for.
+void BM_Thm1CoreSet_K(benchmark::State& state) {
+  using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
+  TimeQueriesAtK(state, bench::Cached<S>(kN, 1, [](size_t m, uint64_t seed) {
+    return S(bench::Points1D(m, seed), {.block_size = 64});
+  }));
 }
 
 void BM_Thm1Baseline_K(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
   using S = BinarySearchTopK<Range1DProblem, PrioritySearchTree>;
-  const S& s = bench::Cached<S>(kN, 1, [](size_t m, uint64_t seed) {
+  TimeQueriesAtK(state, bench::Cached<S>(kN, 1, [](size_t m, uint64_t seed) {
     return S(bench::Points1D(m, seed));
-  });
-  bench::WarmQuery<S> query(s);
-  query(Range1D{0.0, 0.7}, k);  // warms the arena, untimed
-  Rng rng(7);
-  QueryStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(query(RandomWideQuery(&rng), k, &stats).data());
-  }
-  state.counters["k"] = static_cast<double>(k);
-  state.counters["emitted/query"] =
-      static_cast<double>(stats.elements_emitted) /
-      static_cast<double>(state.iterations());
+  }));
 }
 
 BENCHMARK(BM_Thm1CoreSet_K)->RangeMultiplier(4)->Range(1, 1 << 14);

@@ -36,22 +36,38 @@ Range1D RandomQuery(Rng* rng) {
   return {a, b};
 }
 
+// Per-query work comes from this many fixed queries, run untimed.
+constexpr size_t kCountedQueries = 256;
+
+// Times random queries through a warm arena; nodes/query (when asked)
+// comes from kCountedQueries fixed untimed ones.
+template <typename S>
+void TimeQueries(benchmark::State& state, const S& s, bool count_nodes) {
+  if (count_nodes) {
+    const QueryStats stats =
+        bench::FixedQueryStats(s, kK, kCountedQueries, RandomQuery);
+    state.counters["nodes/query"] =
+        static_cast<double>(stats.nodes_visited) /
+        static_cast<double>(kCountedQueries);
+    state.counters["fallbacks"] = static_cast<double>(stats.fallbacks);
+  }
+  bench::WarmQuery<S> query(s);
+  query(Range1D{0.0, 1.0}, kK);  // warms the arena, untimed
+  Rng rng(99);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query(RandomQuery(&rng), kK).data());
+  }
+  state.counters["n"] = static_cast<double>(s.size());
+}
+
+// The paper's shape: B = 64, the EM block the theorem is stated for.
 void BM_Thm1CoreSet(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
   const S& s = bench::Cached<S>(n, 1, [](size_t m, uint64_t seed) {
-    return S(bench::Points1D(m, seed));
+    return S(bench::Points1D(m, seed), {.block_size = 64});
   });
-  Rng rng(99);
-  QueryStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK, &stats));
-  }
-  state.counters["nodes/query"] =
-      static_cast<double>(stats.nodes_visited) /
-      static_cast<double>(state.iterations());
-  state.counters["fallbacks"] = static_cast<double>(stats.fallbacks);
-  state.counters["n"] = static_cast<double>(n);
+  TimeQueries(state, s, /*count_nodes=*/true);
 }
 
 void BM_Thm1BinarySearchBaseline(benchmark::State& state) {
@@ -60,15 +76,7 @@ void BM_Thm1BinarySearchBaseline(benchmark::State& state) {
   const S& s = bench::Cached<S>(n, 1, [](size_t m, uint64_t seed) {
     return S(bench::Points1D(m, seed));
   });
-  Rng rng(99);
-  QueryStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK, &stats));
-  }
-  state.counters["nodes/query"] =
-      static_cast<double>(stats.nodes_visited) /
-      static_cast<double>(state.iterations());
-  state.counters["n"] = static_cast<double>(n);
+  TimeQueries(state, s, /*count_nodes=*/true);
 }
 
 void BM_Thm1Scan(benchmark::State& state) {
@@ -77,11 +85,7 @@ void BM_Thm1Scan(benchmark::State& state) {
   const S& s = bench::Cached<S>(n, 1, [](size_t m, uint64_t seed) {
     return S(bench::Points1D(m, seed));
   });
-  Rng rng(99);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), kK));
-  }
-  state.counters["n"] = static_cast<double>(n);
+  TimeQueries(state, s, /*count_nodes=*/false);
 }
 
 BENCHMARK(BM_Thm1CoreSet)->RangeMultiplier(4)->Range(1 << 12, 1 << 20);

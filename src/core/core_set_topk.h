@@ -8,7 +8,8 @@
 // prioritized query cost — using O(S_pri(n)) space.
 //
 // Composition (Section 3.2):
-//   * f = 12*lambda*B*Q_pri(n);
+//   * f = 12*lambda*B*Q_pri(n), with B the options' block_size, or
+//     kRamBlockSizeThm1 when it is unset (an in-memory substrate);
 //   * a TopFChain on D serves queries with k <= f;
 //   * core-sets R[i] of D with K = 2^i*f (i = 1..h, while K <= n), each
 //     carrying its own TopFChain, serve queries with k > f: the pivot
@@ -194,14 +195,15 @@ class CoreSetTopK {
   }
 
  private:
-  // f = 12 * lambda * B * Q_pri(n) (eq. (9)), scaled for ablation and
-  // clamped so that f >= ceil(8*lambda*ln n) (inequality (11)) — the
-  // top-f result must always be deep enough to expose the Lemma 2 pivot.
+  // f = 12 * lambda * B * Q_pri(n) (eq. (9)), with B resolved as in
+  // reduction_options.h, scaled for ablation and clamped so that
+  // f >= ceil(8*lambda*ln n) (inequality (11)) — the top-f result must
+  // always be deep enough to expose the Lemma 2 pivot.
   static size_t ComputeF(size_t n, const ReductionOptions& options) {
-    const double q_pri = std::max(
-        1.0, Pri::QueryCostBound(n, options.block_size));
+    const size_t b = options.block_size.value_or(kRamBlockSizeThm1);
+    const double q_pri = std::max(1.0, Pri::QueryCostBound(n, b));
     double f = options.constant_scale * 12.0 * Problem::kLambda *
-               static_cast<double>(options.block_size) * q_pri;
+               static_cast<double>(b) * q_pri;
     const double min_f = static_cast<double>(
         CoreSetRank(n, Problem::kLambda, options.constant_scale));
     if (f < min_f) f = min_f;

@@ -4,7 +4,8 @@
 // Structure (Section 4): a prioritized structure on D, plus for each
 // i = 1..h a (1/K_i)-sample R_i of D carrying a max structure, where
 // K_i = B * Q_max(n) * (1+sigma)^{i-1} (sigma = 1/20) and h is the
-// largest i with K_i <= n/4.
+// largest i with K_i <= n/4. B is the options' block_size, or
+// kRamBlockSizeThm2 when it is unset (an in-memory substrate).
 //
 // Query (round protocol): starting at the smallest i with K_i >= k, each
 // round j
@@ -313,9 +314,9 @@ class SampledTopK {
     levels_.clear();
     membership_.clear();
 
-    const double q_max = std::max(
-        1.0, Max::QueryCostBound(n_, options_.block_size));
-    base_k_ = static_cast<double>(options_.block_size) * q_max;
+    const size_t b = options_.block_size.value_or(kRamBlockSizeThm2);
+    const double q_max = std::max(1.0, Max::QueryCostBound(n_, b));
+    base_k_ = static_cast<double>(b) * q_max;
 
     if constexpr (kDynamic) {
       // One membership entry per live element — sampled into zero

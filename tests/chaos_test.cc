@@ -72,7 +72,8 @@ struct ChaosFixture {
     auto pri_factory = [this](std::vector<Point1D> v) {
       return EmRange1dPrioritized(&pool, std::move(v));
     };
-    topk = std::make_unique<EmTopK>(data, ReductionOptions{}, pri_factory);
+    topk = std::make_unique<EmTopK>(
+        data, ReductionOptions{.block_size = 64}, pri_factory);
     fallible = std::make_unique<FallibleTopK<EmTopK>>(topk.get(), &pool);
     TOPK_CHECK(!pool.ConsumeIoFailure());  // clean build
     base.ResetCounters();
@@ -237,7 +238,7 @@ TEST(Chaos, MixedReadWriteFaultScheduleHoldsJointIdentity) {
     auto pri_factory = [s](std::vector<Point1D> v) {
       return EmRange1dPrioritized(&s->pool, std::move(v));
     };
-    EmTopK topk(data, ReductionOptions{}, pri_factory);
+    EmTopK topk(data, ReductionOptions{.block_size = 64}, pri_factory);
     FallibleTopK<EmTopK> fallible(&topk, &s->pool);
     std::vector<std::vector<uint64_t>> ids;
     for (const auto& [q, k] : queries) {

@@ -375,7 +375,9 @@ TEST(EmReductions, BothReductionsMatchBrute) {
   auto max_factory = [&fx](std::vector<Point1D> v) {
     return EmBPlusTree(fx.pool.get(), std::move(v));
   };
-  ReductionOptions opts;
+  // The EM substrates set B explicitly: the reductions' budgets are
+  // counted in device blocks here.
+  const ReductionOptions opts{.block_size = 64};
   CoreSetTopK<Range1DProblem, EmRange1dPrioritized> thm1(data, opts,
                                                          pri_factory);
   SampledTopK<Range1DProblem, EmRange1dPrioritized, EmBPlusTree,
@@ -420,11 +422,12 @@ TEST(EmReductions, ShardContextChargesRealIo) {
     auto max_factory = [&fx](std::vector<Point1D> v) {
       return EmBPlusTree(fx.pool.get(), std::move(v));
     };
-    CoreSetTopK<Range1DProblem, EmRange1dPrioritized> thm1(data, {},
+    const ReductionOptions opts{.block_size = 64};
+    CoreSetTopK<Range1DProblem, EmRange1dPrioritized> thm1(data, opts,
                                                            pri_factory);
     SampledTopK<Range1DProblem, EmRange1dPrioritized, EmBPlusTree,
                 decltype(pri_factory), decltype(max_factory)>
-        thm2(data, {}, pri_factory, max_factory);
+        thm2(data, opts, pri_factory, max_factory);
     Scratch scratch;
     std::vector<Point1D> out;
     std::vector<Run> runs;

@@ -128,7 +128,9 @@ TEST(StatsAccounting, CountingChargesMatchAuditMirror) {
 // pin what that code does. n = 2^15 and B = 4 give Thm 1 f = 720 with a
 // multi-level chain and a ladder of rungs, so the mix reaches the
 // chain, the ladder (probe complete and pivot fetch), the full scan
-// and, at constant_scale = 0.01, the binary-search fallback.
+// and, at constant_scale = 0.01, the binary-search fallback. A row at
+// default options pins the RAM block size each reduction resolves an
+// unset B to.
 template <typename S>
 QueryStats GoldenMixTotals(const S& s, const std::vector<size_t>& ks,
                            parallel::Context* par = nullptr) {
@@ -178,6 +180,17 @@ TEST(StatsAccounting, GoldenCountersAtFixedSeed) {
   ExpectStatsEqual(golden(488092, 220169, 112, 0, 0, 8),
                    GoldenMixTotals(paper, thm1_ks(paper.f()), &four));
 
+  // Unset B is an in-memory substrate: f reads kRamBlockSizeThm1. An
+  // explicit B = 64 (an EM caller's) keeps the paper's f.
+  const CoreSetTopK<Range1DProblem, PrioritySearchTree> ram(data);
+  ASSERT_EQ(ram.f(), 1440u);
+  ExpectStatsEqual(golden(334430, 248983, 88, 0, 0, 8),
+                   GoldenMixTotals(ram, thm1_ks(ram.f())));
+  EXPECT_EQ((CoreSetTopK<Range1DProblem, PrioritySearchTree>(
+                 data, {.block_size = 64})
+                 .f()),
+            3840u);
+
   const CoreSetTopK<Range1DProblem, PrioritySearchTree> ablated(
       data, {.block_size = 4, .constant_scale = 0.01});
   ExpectStatsEqual(golden(271419, 202164, 320, 0, 10, 8),
@@ -202,6 +215,9 @@ TEST(StatsAccounting, GoldenCountersAtFixedSeed) {
   };
   const SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax> sampled(
       data);
+  // Unset B resolves to kRamBlockSizeThm2 = 64 for Thm 2: K_1 = 64 Q_max.
+  EXPECT_EQ(sampled.base_k(),
+            64.0 * std::max(1.0, RangeMax::QueryCostBound(n, 64)));
   ExpectStatsEqual(golden_thm2(543130, 499177, 150, 61, 73, 16),
                    GoldenMixTotals(sampled, baseline_ks));
   // k >= n/2 ends in the terminal scan, sharded here: the kernel charges
