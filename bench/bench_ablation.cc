@@ -61,17 +61,6 @@ constexpr int kTimedPasses = 3;
 // proxy read +7% (B = 16), and did not where it read +13% (B = 8).
 constexpr double kSpaceProxyBound = 1.10;
 
-std::vector<Range1D> UniformRanges(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Range1D> out(count);
-  for (Range1D& q : out) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    q = {a, b};
-  }
-  return out;
-}
-
 // One pass of `queries` at k through a warm arena, counted into *stats
 // when non-null; returns µs/query.
 template <typename S>
@@ -114,7 +103,7 @@ void ScaleRows() {
               "coresets", "fallback%", "us/query");
   const size_t n = 1 << 18;
   const std::vector<Point1D> data = bench::Points1D(n, 5);
-  const std::vector<Range1D> queries = UniformRanges(4000, 6);
+  const std::vector<Range1D> queries = bench::UniformRanges1D(4000, 6);
   for (double scale : {1.0, 0.5, 0.2, 0.1, 0.05, 0.02}) {
     const Thm1 s(data, {.block_size = 64, .constant_scale = scale});
     bench::WarmQuery<Thm1> query(s);
@@ -156,7 +145,7 @@ void CheckExact(const Thm1& s, const std::vector<Point1D>& data,
       if (Range1DProblem::Matches(q, e)) want.push_back(e);
     }
     SelectTopK(&want, k);
-    const std::vector<Point1D> got = topk::Query(s, q, k);
+    const std::vector<Point1D> got = topk::Query(s, q, k);  // untimed
     TOPK_CHECK_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       TOPK_CHECK_EQ(got[i].id, want[i].id);
@@ -178,8 +167,8 @@ void Thm1BlockSizeRows() {
               "seed", "f", "levels", "rungs", "indexed", "vs64",
               "em/q k16", "em/q 1024", "fallback%", "us k16", "us 1024");
   const std::vector<Point1D> data = bench::Points1D(kN, 21);
-  const std::vector<Range1D> small_qs = UniformRanges(512, 22);
-  const std::vector<Range1D> large_qs = UniformRanges(128, 23);
+  const std::vector<Range1D> small_qs = bench::UniformRanges1D(512, 22);
+  const std::vector<Range1D> large_qs = bench::UniformRanges1D(128, 23);
 
   // Space at B = 64 per seed, the reference of the vs64 column.
   std::vector<size_t> space64;
@@ -236,7 +225,7 @@ void Thm2BlockSizeRows() {
   std::printf("%4s %5s %8s %7s %9s %10s %10s %9s\n", "B", "seed", "K_1",
               "levels", "sampled", "emitted/q", "rounds/q", "us/query");
   const std::vector<Point1D> data = bench::Points1D(kN, 31);
-  const std::vector<Range1D> queries = UniformRanges(512, 32);
+  const std::vector<Range1D> queries = bench::UniformRanges1D(512, 32);
   for (const size_t b : kBlockSizes) {
     for (const uint64_t seed : kStructureSeeds) {
       const Thm2 s(data, {.block_size = b, .seed = seed});

@@ -4,7 +4,7 @@
 // the root, O(1) per node after).
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 
 #include <benchmark/benchmark.h>
 
@@ -23,29 +23,30 @@ using enclosure::Point2;
 
 Point2 Q(Rng* rng) { return {rng->NextDouble(), rng->NextDouble()}; }
 
-void RegisterAll() {
-  for (size_t n : {size_t{1} << 10, size_t{1} << 12, size_t{1} << 14}) {
-    bench::RegisterLazy<EnclosureMax>(
-        "PlainLog2/" + std::to_string(n), n,
-        [](size_t m) { return EnclosureMax(bench::Rects(m, 5)); },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.QueryMax(Q(rng)));
-        });
-    bench::RegisterLazy<EnclosureMaxCascading>(
-        "CascadedLog/" + std::to_string(n), n,
-        [](size_t m) { return EnclosureMaxCascading(bench::Rects(m, 5)); },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(s.QueryMax(Q(rng)));
-        });
+// Times QueryMax over S, built once on n seed-5 rectangles.
+template <typename S>
+void TimeQueryMax(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const S& s = bench::Cached<S>(n, 5, [](size_t m, uint64_t seed) {
+    return S(bench::Rects(m, seed));
+  });
+  Rng rng(0xbe7c);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.QueryMax(Q(&rng)));
   }
+  state.counters["n"] = static_cast<double>(n);
 }
+
+void PlainLog2(benchmark::State& state) { TimeQueryMax<EnclosureMax>(state); }
+
+void CascadedLog(benchmark::State& state) {
+  TimeQueryMax<EnclosureMaxCascading>(state);
+}
+
+BENCHMARK(PlainLog2)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
+BENCHMARK(CascadedLog)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
 
 }  // namespace
 }  // namespace topk
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  topk::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -122,9 +122,8 @@ void Run() {
   Rng rng(0x22);
   std::vector<std::pair<Range1D, size_t>> queries;
   for (size_t i = 0; i < kQueries; ++i) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    queries.push_back({{a, b}, (i % 8 == 0) ? size_t{512} : size_t{16}});
+    queries.push_back({bench::UniformRange1D(&rng),
+                       (i % 8 == 0) ? size_t{512} : size_t{16}});
   }
 
   uint64_t baseline_reads = 0;

@@ -3,7 +3,6 @@
 // restricted to the paraboloid) vs scan.
 
 #include <cstddef>
-#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -29,35 +28,15 @@ Disk Q(Rng* rng) {
 }
 
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::Points2D(m, 5); };
   for (size_t n : {size_t{1} << 12, size_t{1} << 14, size_t{1} << 16,
                    size_t{1} << 18}) {
     bench::RegisterLazy<CoreSetTopK<CircularProblem, CircularKdTree>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<CircularProblem, CircularKdTree>(
-              bench::Points2D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, Q);
     bench::RegisterLazy<
         SampledTopK<CircularProblem, CircularKdTree, CircularKdTree>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<CircularProblem, CircularKdTree,
-                             CircularKdTree>(bench::Points2D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    bench::RegisterLazy<ScanTopK<CircularProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) {
-          return ScanTopK<CircularProblem>(bench::Points2D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm2", n, kK, data, Q);
+    bench::RegisterLazy<ScanTopK<CircularProblem>>("Scan", n, kK, data, Q);
   }
 }
 

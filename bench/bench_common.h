@@ -1,6 +1,9 @@
-// Shared benchmark helpers: deterministic workload generators,
-// build-once caches (structure construction is expensive and must stay
-// out of the timed region) and a warm query loop.
+// Shared benchmark helpers: deterministic workload generators, one
+// uniform 1D range draw, one build-once cache (structure construction
+// is expensive and must stay out of the timed region) and one warm
+// query harness. Every timed top-k loop queries through WarmQuery, so
+// it times the query and not a per-call arena; RegisterLazy is the
+// one google-benchmark registration built on Cached and WarmQuery.
 
 #ifndef TOPK_BENCH_BENCH_COMMON_H_
 #define TOPK_BENCH_BENCH_COMMON_H_
@@ -10,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -24,6 +28,7 @@
 #include "halfspace/point2.h"
 #include "interval/interval.h"
 #include "range1d/point1d.h"
+#include "trace/tracer.h"
 
 namespace topk::bench {
 
@@ -33,6 +38,22 @@ inline std::vector<range1d::Point1D> Points1D(size_t n, uint64_t seed) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = {rng.NextDouble(), rng.NextDouble() * 1e6, i + 1};
   }
+  return out;
+}
+
+// A uniform 1D range: endpoint a, then endpoint b, ordered.
+inline range1d::Range1D UniformRange1D(Rng* rng) {
+  double a = rng->NextDouble(), b = rng->NextDouble();
+  if (a > b) std::swap(a, b);
+  return {a, b};
+}
+
+// `count` uniform 1D ranges, drawn in order from Rng(seed).
+inline std::vector<range1d::Range1D> UniformRanges1D(size_t count,
+                                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<range1d::Range1D> out(count);
+  for (range1d::Range1D& q : out) q = UniformRange1D(&rng);
   return out;
 }
 
@@ -89,24 +110,6 @@ inline std::vector<circle::WPoint2> Points2D(size_t n, uint64_t seed) {
   return out;
 }
 
-
-// Registers one google-benchmark entry that lazily builds structure S
-// from `build(n)` on first use (construction stays outside the timed
-// loop) and times `run(s, rng)` per iteration.
-template <typename S, typename Build, typename Run>
-void RegisterLazy(const std::string& name, size_t n, Build build, Run run) {
-  auto holder = std::make_shared<std::unique_ptr<S>>();
-  benchmark::RegisterBenchmark(
-      name.c_str(), [holder, n, build, run](benchmark::State& state) {
-        if (!*holder) *holder = std::make_unique<S>(build(n));
-        Rng rng(0xbe7c);
-        for (auto _ : state) {
-          run(**holder, &rng);
-        }
-        state.counters["n"] = static_cast<double>(n);
-      });
-}
-
 // A timed query loop's state, kept warm the way a serving worker keeps
 // it: one Scratch and one output vector reused by every call, so a timed
 // query never pays an arena's first-borrow allocations (topk::Query
@@ -119,9 +122,9 @@ class WarmQuery {
   // The k heaviest matches of q, heaviest first; valid until the next
   // call.
   const std::vector<typename S::Element>& operator()(
-      const typename S::Predicate& q, size_t k,
-      QueryStats* stats = nullptr) {
-    s_.QueryInto(q, k, &scratch_, &out_, stats, nullptr, nullptr);
+      const typename S::Predicate& q, size_t k, QueryStats* stats = nullptr,
+      trace::Tracer* tracer = nullptr) {
+    s_.QueryInto(q, k, &scratch_, &out_, stats, tracer, nullptr);
     return out_;
   }
 
@@ -155,6 +158,32 @@ const S& Cached(size_t n, uint64_t seed, auto&& build) {
     it = cache.emplace(key, std::make_unique<S>(build(n, seed))).first;
   }
   return *it->second;
+}
+
+// Registers the google-benchmark entry "<label>/<n>": structure S over
+// data(n), built once through Cached (outside the timed loop), answers
+// the k heaviest matches of draw(&rng) per iteration through a
+// WarmQuery. One untimed query warms the arena first; the timed
+// predicates come from Rng(0xbe7c), so every run times the same
+// sequence. Registrations of one S may share a build when their `data`
+// has one type, so give each data set its own lambda.
+template <TopKStructure S, typename Data, typename Draw>
+void RegisterLazy(const std::string& label, size_t n, size_t k, Data data,
+                  Draw draw) {
+  benchmark::RegisterBenchmark(
+      (label + "/" + std::to_string(n)).c_str(),
+      [n, k, data, draw](benchmark::State& state) {
+        WarmQuery<S> query(
+            Cached<S>(n, /*seed=*/0,
+                      [&data](size_t m, uint64_t) { return data(m); }));
+        Rng warm(0xc0de);
+        query(draw(&warm), k);  // warms the arena, untimed
+        Rng rng(0xbe7c);
+        for (auto _ : state) {
+          benchmark::DoNotOptimize(query(draw(&rng), k).data());
+        }
+        state.counters["n"] = static_cast<double>(n);
+      });
 }
 
 }  // namespace topk::bench

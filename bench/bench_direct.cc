@@ -9,12 +9,10 @@
 // abstraction costs on this problem.
 
 #include <cstddef>
-#include <string>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "common/random.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
 #include "core/sampled_topk.h"
@@ -28,54 +26,23 @@ namespace {
 
 using range1d::HeapSelectTopK;
 using range1d::PrioritySearchTree;
-using range1d::Range1D;
 using range1d::Range1DProblem;
 using range1d::RangeMax;
 
 constexpr size_t kK = 16;
 
-Range1D Q(Rng* rng) {
-  double a = rng->NextDouble(), b = rng->NextDouble();
-  if (a > b) std::swap(a, b);
-  return {a, b};
-}
-
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::Points1D(m, 5); };
   for (size_t n : {size_t{1} << 14, size_t{1} << 17, size_t{1} << 20}) {
-    bench::RegisterLazy<HeapSelectTopK>(
-        "Direct_HeapSelect/" + std::to_string(n), n,
-        [](size_t m) { return HeapSelectTopK(bench::Points1D(m, 5)); },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+    bench::RegisterLazy<HeapSelectTopK>("Direct_HeapSelect", n, kK, data,
+                                        bench::UniformRange1D);
     bench::RegisterLazy<
         SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>(
-              bench::Points1D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm2", n, kK, data, bench::UniformRange1D);
     bench::RegisterLazy<CoreSetTopK<Range1DProblem, PrioritySearchTree>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<Range1DProblem, PrioritySearchTree>(
-              bench::Points1D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, bench::UniformRange1D);
     bench::RegisterLazy<BinarySearchTopK<Range1DProblem, PrioritySearchTree>>(
-        "Baseline28/" + std::to_string(n), n,
-        [](size_t m) {
-          return BinarySearchTopK<Range1DProblem, PrioritySearchTree>(
-              bench::Points1D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Baseline28", n, kK, data, bench::UniformRange1D);
   }
 }
 

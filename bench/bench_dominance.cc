@@ -2,7 +2,6 @@
 // over the weight-augmented kd-tree vs scan.
 
 #include <cstddef>
-#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -28,35 +27,15 @@ Point3 Q(Rng* rng) {
 }
 
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::Points3D(m, 5); };
   for (size_t n : {size_t{1} << 12, size_t{1} << 14, size_t{1} << 16,
                    size_t{1} << 18}) {
     bench::RegisterLazy<CoreSetTopK<DominanceProblem, DominanceKdTree>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<DominanceProblem, DominanceKdTree>(
-              bench::Points3D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, Q);
     bench::RegisterLazy<
         SampledTopK<DominanceProblem, DominanceKdTree, DominanceKdTree>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<DominanceProblem, DominanceKdTree,
-                             DominanceKdTree>(bench::Points3D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    bench::RegisterLazy<ScanTopK<DominanceProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) {
-          return ScanTopK<DominanceProblem>(bench::Points3D(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm2", n, kK, data, Q);
+    bench::RegisterLazy<ScanTopK<DominanceProblem>>("Scan", n, kK, data, Q);
   }
 }
 

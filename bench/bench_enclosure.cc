@@ -5,7 +5,6 @@
 // O(log^2-ish) stabbing structures), scan linear in n.
 
 #include <cstddef>
-#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -30,34 +29,14 @@ constexpr size_t kK = 10;
 Point2 Q(Rng* rng) { return {rng->NextDouble(), rng->NextDouble()}; }
 
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::Rects(m, 5); };
   for (size_t n : {size_t{1} << 12, size_t{1} << 14, size_t{1} << 16}) {
     bench::RegisterLazy<CoreSetTopK<EnclosureProblem, EnclosurePrioritized>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<EnclosureProblem, EnclosurePrioritized>(
-              bench::Rects(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, Q);
     bench::RegisterLazy<
         SampledTopK<EnclosureProblem, EnclosurePrioritized, EnclosureMax>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<EnclosureProblem, EnclosurePrioritized,
-                             EnclosureMax>(bench::Rects(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    bench::RegisterLazy<ScanTopK<EnclosureProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) {
-          return ScanTopK<EnclosureProblem>(bench::Rects(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm2", n, kK, data, Q);
+    bench::RegisterLazy<ScanTopK<EnclosureProblem>>("Scan", n, kK, data, Q);
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -31,34 +30,14 @@ Halfplane Q(Rng* rng) {
 }
 
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::PointsHs(m, 5); };
   for (size_t n : {size_t{1} << 13, size_t{1} << 15, size_t{1} << 17}) {
     bench::RegisterLazy<CoreSetTopK<HalfplaneProblem, HalfspacePrioritized>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<HalfplaneProblem, HalfspacePrioritized>(
-              bench::PointsHs(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, Q);
     bench::RegisterLazy<
         SampledTopK<HalfplaneProblem, HalfspacePrioritized, HalfspaceMax>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<HalfplaneProblem, HalfspacePrioritized,
-                             HalfspaceMax>(bench::PointsHs(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    bench::RegisterLazy<ScanTopK<HalfplaneProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) {
-          return ScanTopK<HalfplaneProblem>(bench::PointsHs(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm2", n, kK, data, Q);
+    bench::RegisterLazy<ScanTopK<HalfplaneProblem>>("Scan", n, kK, data, Q);
   }
 }
 

@@ -7,7 +7,6 @@
 // substrates differ by constants only.
 
 #include <cstddef>
-#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -32,44 +31,18 @@ using interval::StabProblem;
 constexpr size_t kK = 10;
 
 void RegisterAll() {
+  auto data = [](size_t m) { return bench::Intervals(m, 5); };
+  auto stab = [](Rng* rng) { return rng->NextDouble(); };
   for (size_t n : {size_t{1} << 12, size_t{1} << 14, size_t{1} << 16,
                    size_t{1} << 18}) {
     bench::RegisterLazy<CoreSetTopK<StabProblem, SegmentStabbing>>(
-        "Thm1_SegTree/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<StabProblem, SegmentStabbing>(
-              bench::Intervals(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
-        });
+        "Thm1_SegTree", n, kK, data, stab);
     bench::RegisterLazy<CoreSetTopK<StabProblem, IntervalTreeStab>>(
-        "Thm1_IntervalTree/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<StabProblem, IntervalTreeStab>(
-              bench::Intervals(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
-        });
+        "Thm1_IntervalTree", n, kK, data, stab);
     bench::RegisterLazy<
         SampledTopK<StabProblem, SegmentStabbing, SlabStabMax>>(
-        "Thm2_SegTree/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<StabProblem, SegmentStabbing, SlabStabMax>(
-              bench::Intervals(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
-        });
-    bench::RegisterLazy<ScanTopK<StabProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) {
-          return ScanTopK<StabProblem>(bench::Intervals(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, rng->NextDouble(), kK));
-        });
+        "Thm2_SegTree", n, kK, data, stab);
+    bench::RegisterLazy<ScanTopK<StabProblem>>("Scan", n, kK, data, stab);
   }
 }
 

@@ -25,6 +25,7 @@ namespace {
 
 using range1d::Point1D;
 using range1d::PrioritySearchTree;
+using range1d::Range1D;
 using range1d::Range1DProblem;
 
 size_t GroundRank(const std::vector<Point1D>& sorted_desc,
@@ -110,10 +111,9 @@ void FallbackTable() {
     QueryStats stats;
     const int trials = 2000;
     for (int t = 0; t < trials; ++t) {
-      double a = rng.NextDouble(), b = rng.NextDouble();
-      if (a > b) std::swap(a, b);
+      const Range1D q = bench::UniformRange1D(&rng);
       const size_t k = 1 + static_cast<size_t>(rng.Below(256));
-      topk::Query(s, {a, b}, k, &stats);
+      topk::Query(s, q, k, &stats);  // untimed: counts fallbacks only
     }
     std::printf("%16.2f %10zu %12llu %11.3f%%\n", scale, s.f(),
                 static_cast<unsigned long long>(stats.fallbacks),

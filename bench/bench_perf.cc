@@ -91,25 +91,14 @@ using Counting = CountingTopK<Range1DProblem, PrioritySearchTree, CountTree>;
 constexpr size_t kQueries = 1000;
 constexpr int kReps = 5;  // best-of to shed scheduler noise (ISSUE E24)
 
-std::vector<Range1D> MakeQueries(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Range1D> qs;
-  qs.reserve(kQueries);
-  for (size_t i = 0; i < kQueries; ++i) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    qs.push_back({a, b});
-  }
-  return qs;
-}
-
 struct SweepResult {
   double ns_per_q;
   double allocs_per_q;
 };
 
 // Compatibility path: every call constructs a Scratch and returns a
-// fresh result vector.
+// fresh result vector. It is the "alloc" column E24 prices, so it stays
+// on topk::Query.
 template <typename S>
 SweepResult SweepAlloc(const S& s, const std::vector<Range1D>& qs, size_t k) {
   const uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
@@ -146,7 +135,7 @@ SweepResult SweepScratch(const S& s, const std::vector<Range1D>& qs, size_t k,
 
 template <typename S>
 void MeasureQueryPath(const char* name, const S& s, size_t k) {
-  const std::vector<Range1D> qs = MakeQueries(17 + k);
+  const std::vector<Range1D> qs = bench::UniformRanges1D(kQueries, 17 + k);
   Scratch scratch;
   std::vector<Point1D> out;
   SweepScratch(s, qs, k, &scratch, &out);  // warm the arena (untimed)
@@ -177,10 +166,8 @@ std::vector<serve::Request<Range1D>> MakeRequests(size_t count,
   std::vector<serve::Request<Range1D>> requests;
   requests.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    double lo = rng.NextDouble(), hi = rng.NextDouble();
-    if (lo > hi) std::swap(lo, hi);
     serve::Request<Range1D> r;
-    r.predicate = Range1D{lo, hi};
+    r.predicate = bench::UniformRange1D(&rng);
     r.k = 1 + i * 7 % 64;
     requests.push_back(r);
   }

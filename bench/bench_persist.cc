@@ -85,9 +85,7 @@ Counts RunWorkload(BlockDevice* dev, size_t n, uint64_t* emitted) {
   Rng rng(11);
   *emitted = 0;
   for (size_t i = 0; i < kQueries; ++i) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    IssuePrioritized(pri, Range1D{a, b}, tau,
+    IssuePrioritized(pri, bench::UniformRange1D(&rng), tau,
                      [emitted](const Point1D&) {
                        ++*emitted;
                        return true;
@@ -243,9 +241,8 @@ void ColdServeRow(size_t n) {
   std::vector<serve::Request<Range1D>> requests;
   requests.reserve(kBatch);
   for (size_t i = 0; i < kBatch; ++i) {
-    double lo = rng.NextDouble(), hi = rng.NextDouble();
-    if (lo > hi) std::swap(lo, hi);
-    requests.push_back({{lo, hi}, (i % 8 == 0) ? size_t{256} : size_t{16}});
+    requests.push_back({bench::UniformRange1D(&rng),
+                        (i % 8 == 0) ? size_t{256} : size_t{16}});
   }
 
   // Cold path (measured end to end, phase by phase).

@@ -3,7 +3,7 @@
 // the counting-based Section 2 reduction on the 1D specialization.
 
 #include <cstddef>
-#include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -48,45 +48,22 @@ Rect2 Q(Rng* rng) {
 }
 
 void RegisterAll() {
+  auto data = [](size_t m) { return Points(m, 5); };
+  // The Section 2 counting reduction, on the 1D specialization
+  // (counting structures are problem-specific; 1D has an exact one).
+  using Counting = CountingTopK<range1d::Range1DProblem,
+                                range1d::PrioritySearchTree,
+                                range1d::CountTree>;
+  auto data_1d = [](size_t m) { return bench::Points1D(m, 5); };
   for (size_t n : {size_t{1} << 12, size_t{1} << 14, size_t{1} << 16}) {
     bench::RegisterLazy<CoreSetTopK<Range2DProblem, RangeTreePrioritized>>(
-        "Thm1/" + std::to_string(n), n,
-        [](size_t m) {
-          return CoreSetTopK<Range2DProblem, RangeTreePrioritized>(
-              Points(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
+        "Thm1", n, kK, data, Q);
     bench::RegisterLazy<
         SampledTopK<Range2DProblem, RangeTreePrioritized, RangeTreeMax>>(
-        "Thm2/" + std::to_string(n), n,
-        [](size_t m) {
-          return SampledTopK<Range2DProblem, RangeTreePrioritized,
-                             RangeTreeMax>(Points(m, 5));
-        },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    bench::RegisterLazy<ScanTopK<Range2DProblem>>(
-        "Scan/" + std::to_string(n), n,
-        [](size_t m) { return ScanTopK<Range2DProblem>(Points(m, 5)); },
-        [](const auto& s, Rng* rng) {
-          benchmark::DoNotOptimize(topk::Query(s, Q(rng), kK));
-        });
-    // The Section 2 counting reduction, on the 1D specialization
-    // (counting structures are problem-specific; 1D has an exact one).
-    using Counting = CountingTopK<range1d::Range1DProblem,
-                                  range1d::PrioritySearchTree,
-                                  range1d::CountTree>;
-    bench::RegisterLazy<Counting>(
-        "CountingReduction1D/" + std::to_string(n), n,
-        [](size_t m) { return Counting(bench::Points1D(m, 5)); },
-        [](const auto& s, Rng* rng) {
-          double a = rng->NextDouble(), b = rng->NextDouble();
-          if (a > b) std::swap(a, b);
-          benchmark::DoNotOptimize(topk::Query(s, {a, b}, kK));
-        });
+        "Thm2", n, kK, data, Q);
+    bench::RegisterLazy<ScanTopK<Range2DProblem>>("Scan", n, kK, data, Q);
+    bench::RegisterLazy<Counting>("CountingReduction1D", n, kK, data_1d,
+                                  bench::UniformRange1D);
   }
 }
 

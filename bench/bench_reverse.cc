@@ -27,12 +27,6 @@ using range1d::Range1DProblem;
 // tau at the 99.9th percentile of weights in [0, 1e6): ~n/1000 results.
 constexpr double kTau = 0.999e6;
 
-Range1D RandomQuery(Rng* rng) {
-  double a = rng->NextDouble(), b = rng->NextDouble();
-  if (a > b) std::swap(a, b);
-  return {a, b};
-}
-
 void BM_NativePrioritized(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const PrioritySearchTree& s = bench::Cached<PrioritySearchTree>(
@@ -42,7 +36,7 @@ void BM_NativePrioritized(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) {
     size_t count = 0;
-    IssuePrioritized(s, RandomQuery(&rng), kTau,
+    IssuePrioritized(s, bench::UniformRange1D(&rng), kTau,
                      [&count](const Point1D&) {
                        ++count;
                        return true;
@@ -65,7 +59,7 @@ void BM_SynthesizedFromTopK(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) {
     size_t count = 0;
-    IssuePrioritized(s, RandomQuery(&rng), kTau,
+    IssuePrioritized(s, bench::UniformRange1D(&rng), kTau,
                      [&count](const Point1D&) {
                        ++count;
                        return true;

@@ -30,12 +30,6 @@ using range1d::Range1DProblem;
 
 constexpr size_t kK = 16;
 
-Range1D RandomQuery(Rng* rng) {
-  double a = rng->NextDouble(), b = rng->NextDouble();
-  if (a > b) std::swap(a, b);
-  return {a, b};
-}
-
 // Per-query work comes from this many fixed queries, run untimed.
 constexpr size_t kCountedQueries = 256;
 
@@ -45,7 +39,8 @@ template <typename S>
 void TimeQueries(benchmark::State& state, const S& s, bool count_nodes) {
   if (count_nodes) {
     const QueryStats stats =
-        bench::FixedQueryStats(s, kK, kCountedQueries, RandomQuery);
+        bench::FixedQueryStats(s, kK, kCountedQueries,
+                              bench::UniformRange1D);
     state.counters["nodes/query"] =
         static_cast<double>(stats.nodes_visited) /
         static_cast<double>(kCountedQueries);
@@ -55,7 +50,7 @@ void TimeQueries(benchmark::State& state, const S& s, bool count_nodes) {
   query(Range1D{0.0, 1.0}, kK);  // warms the arena, untimed
   Rng rng(99);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query(RandomQuery(&rng), kK).data());
+    benchmark::DoNotOptimize(query(bench::UniformRange1D(&rng), kK).data());
   }
   state.counters["n"] = static_cast<double>(s.size());
 }

@@ -14,7 +14,6 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/stats.h"
-#include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
 #include "core/sampled_topk.h"
 #include "range1d/point1d.h"
@@ -29,60 +28,64 @@ using range1d::Range1D;
 using range1d::Range1DProblem;
 using range1d::RangeMax;
 
-Range1D RandomQuery(Rng* rng) {
-  double a = rng->NextDouble(), b = rng->NextDouble();
-  if (a > b) std::swap(a, b);
-  return {a, b};
+using Thm2 = SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>;
+
+// Per-query work comes from this many fixed queries, run untimed.
+constexpr size_t kCountedQueries = 256;
+
+// A wide range (70% of the domain): deep enough for every k swept.
+Range1D WideQuery(Rng* rng) {
+  const double a = rng->NextDouble() * 0.25;
+  return {a, a + 0.7};
 }
 
-using Thm2 = SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>;
+// Times queries at k drawn by `draw` from Rng(42) through a warm arena;
+// rounds/query (when asked) comes from kCountedQueries fixed untimed
+// ones, so it is the same on every run.
+template <typename S, typename Draw>
+void TimeQueries(benchmark::State& state, const S& s, size_t k, Draw draw,
+                 bool count_rounds) {
+  if (count_rounds) {
+    const QueryStats stats =
+        bench::FixedQueryStats(s, k, kCountedQueries, draw);
+    state.counters["rounds/query"] =
+        static_cast<double>(stats.rounds) /
+        static_cast<double>(kCountedQueries);
+  }
+  bench::WarmQuery<S> query(s);
+  query(Range1D{0.0, 1.0}, k);  // warms the arena, untimed
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query(draw(&rng), k).data());
+  }
+}
+
+const Thm2& Thm2Over(size_t n) {
+  return bench::Cached<Thm2>(n, 1, [](size_t m, uint64_t seed) {
+    return Thm2(bench::Points1D(m, seed));
+  });
+}
 
 void BM_Thm2_N(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const Thm2& s = bench::Cached<Thm2>(n, 1, [](size_t m, uint64_t seed) {
-    return Thm2(bench::Points1D(m, seed));
-  });
-  Rng rng(42);
-  QueryStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topk::Query(s, RandomQuery(&rng), 16, &stats));
-  }
+  TimeQueries(state, Thm2Over(n), 16, bench::UniformRange1D,
+              /*count_rounds=*/true);
   state.counters["n"] = static_cast<double>(n);
-  state.counters["rounds/query"] =
-      static_cast<double>(stats.rounds) /
-      static_cast<double>(state.iterations());
 }
 
 void BM_Thm2_K(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const size_t n = 1 << 17;
-  const Thm2& s = bench::Cached<Thm2>(n, 1, [](size_t m, uint64_t seed) {
-    return Thm2(bench::Points1D(m, seed));
-  });
-  Rng rng(42);
-  QueryStats stats;
-  for (auto _ : state) {
-    const double a = rng.NextDouble() * 0.25;
-    benchmark::DoNotOptimize(topk::Query(s, {a, a + 0.7}, k, &stats));
-  }
+  TimeQueries(state, Thm2Over(1 << 17), k, WideQuery, /*count_rounds=*/true);
   state.counters["k"] = static_cast<double>(k);
-  state.counters["rounds/query"] =
-      static_cast<double>(stats.rounds) /
-      static_cast<double>(state.iterations());
 }
 
 void BM_Thm1_K_Reference(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const size_t n = 1 << 17;
   using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
-  const S& s = bench::Cached<S>(n, 1, [](size_t m, uint64_t seed) {
+  const S& s = bench::Cached<S>(1 << 17, 1, [](size_t m, uint64_t seed) {
     return S(bench::Points1D(m, seed));
   });
-  Rng rng(42);
-  for (auto _ : state) {
-    const double a = rng.NextDouble() * 0.25;
-    benchmark::DoNotOptimize(topk::Query(s, {a, a + 0.7}, k));
-  }
+  TimeQueries(state, s, k, WideQuery, /*count_rounds=*/false);
   state.counters["k"] = static_cast<double>(k);
 }
 

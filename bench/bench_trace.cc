@@ -25,7 +25,6 @@
 
 #include "bench_common.h"
 #include "common/check.h"
-#include "common/random.h"
 #include "common/stats.h"
 #include "core/core_set_topk.h"
 #include "core/sampled_topk.h"
@@ -45,30 +44,19 @@ using range1d::RangeMax;
 constexpr size_t kQueries = 2000;
 constexpr int kReps = 3;  // best-of to shed scheduler noise
 
-std::vector<Range1D> MakeQueries(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Range1D> qs;
-  qs.reserve(kQueries);
-  for (size_t i = 0; i < kQueries; ++i) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    qs.push_back({a, b});
-  }
-  return qs;
-}
-
-// One timed sweep; returns mean ns/query. When `tracer` is non-null it
-// is drained (Clear) after every query, as a real exporter would, so
-// the enabled figure includes the full record-and-drain cycle;
-// `events` and `dropped` accumulate across the sweep.
+// One timed sweep through a warm arena; returns mean ns/query. When
+// `tracer` is non-null it is drained (Clear) after every query, as a
+// real exporter would, so the enabled figure includes the full
+// record-and-drain cycle; `events` and `dropped` accumulate across the
+// sweep.
 template <typename S>
-double Sweep(const S& s, const std::vector<Range1D>& qs, size_t k,
-             trace::Tracer* tracer, uint64_t* events, uint64_t* dropped) {
+double Sweep(bench::WarmQuery<S>* query, const std::vector<Range1D>& qs,
+             size_t k, trace::Tracer* tracer, uint64_t* events,
+             uint64_t* dropped) {
   const auto t0 = std::chrono::steady_clock::now();
   for (const Range1D& q : qs) {
     QueryStats stats;
-    auto got = topk::Query(s, q, k, &stats, tracer);
-    benchmark::DoNotOptimize(got);
+    benchmark::DoNotOptimize((*query)(q, k, &stats, tracer).data());
     if (tracer != nullptr) {
       *events += tracer->events().size();
       *dropped += tracer->dropped();
@@ -82,14 +70,17 @@ double Sweep(const S& s, const std::vector<Range1D>& qs, size_t k,
 
 template <typename S>
 void Measure(const char* name, const S& s, size_t k) {
-  const std::vector<Range1D> qs = MakeQueries(17 + k);
+  const std::vector<Range1D> qs = bench::UniformRanges1D(kQueries, 17 + k);
   trace::Tracer tracer(size_t{1} << 12);  // ample: no query drops
+  bench::WarmQuery<S> query(s);
+  query(Range1D{0.0, 1.0}, k);  // warms the arena, untimed
   double off_ns = 1e300, on_ns = 1e300;
   uint64_t events = 0, dropped = 0;
   for (int rep = 0; rep < kReps; ++rep) {
-    off_ns = std::min(off_ns, Sweep(s, qs, k, nullptr, &events, &dropped));
+    off_ns =
+        std::min(off_ns, Sweep(&query, qs, k, nullptr, &events, &dropped));
     events = dropped = 0;
-    on_ns = std::min(on_ns, Sweep(s, qs, k, &tracer, &events, &dropped));
+    on_ns = std::min(on_ns, Sweep(&query, qs, k, &tracer, &events, &dropped));
   }
   TOPK_CHECK_EQ(dropped, 0u);
   std::printf("%8s %6zu %12.1f %12.1f %+9.1f%% %10.1f\n", name, k, off_ns,

@@ -21,6 +21,7 @@ namespace {
 using range1d::DynamicPst;
 using range1d::DynamicRangeMax;
 using range1d::Point1D;
+using range1d::Range1D;
 using range1d::Range1DProblem;
 
 using DynTopK = SampledTopK<Range1DProblem, DynamicPst, DynamicRangeMax>;
@@ -50,11 +51,11 @@ void BM_QueryAfterChurn(benchmark::State& state) {
         }
         return s;
       });
+  bench::WarmQuery<DynTopK> query(topk);
+  query(Range1D{0.0, 1.0}, 10);  // warms the arena, untimed
   Rng rng(23);
   for (auto _ : state) {
-    double a = rng.NextDouble(), b = rng.NextDouble();
-    if (a > b) std::swap(a, b);
-    benchmark::DoNotOptimize(topk::Query(topk, {a, b}, 10));
+    benchmark::DoNotOptimize(query(bench::UniformRange1D(&rng), 10).data());
   }
   state.counters["n"] = static_cast<double>(n);
 }

@@ -49,20 +49,24 @@ inline size_t CoreSetRank(size_t n, double lambda, double scale) {
   return r < 1.0 ? size_t{1} : static_cast<size_t>(r);
 }
 
+// Lemma 2's proof succeeds with probability > 1/6 per draw; the builder
+// redraws a core-set whose *size* exceeds the Markov bound (3np) up to
+// this many times before accepting the smallest draw seen.
+inline constexpr size_t kMaxCoreSetAttempts = 16;
+
 // Draws a core-set of `data` with parameter K. Redraws (up to
-// `max_attempts`) while the draw exceeds the Markov size bound
-// 3*n*p = 12*lambda*(n/K)*ln n; returns the smallest draw if all attempts
-// exceed it (correctness is unaffected, only space).
+// kMaxCoreSetAttempts times) while the draw exceeds the Markov size
+// bound 3*n*p = 12*lambda*(n/K)*ln n; returns the smallest draw if all
+// attempts exceed it (correctness is unaffected, only space).
 template <typename E>
 std::vector<E> BuildCoreSet(const std::vector<E>& data, double K,
-                            double lambda, double scale, Rng* rng,
-                            size_t max_attempts = 16) {
+                            double lambda, double scale, Rng* rng) {
   const size_t n = data.size();
   const double p = CoreSetProbability(n, K, lambda, scale);
   const double size_bound = 3.0 * p * static_cast<double>(n);
   std::vector<E> best;
   bool have_best = false;
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+  for (size_t attempt = 0; attempt < kMaxCoreSetAttempts; ++attempt) {
     std::vector<E> draw = PSample(data, p, rng);
     if (static_cast<double>(draw.size()) <= size_bound) return draw;
     if (!have_best || draw.size() < best.size()) {

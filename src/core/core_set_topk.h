@@ -80,18 +80,16 @@ class CoreSetTopK {
     for (double K = static_cast<double>(f_) * 2.0;
          K <= static_cast<double>(n_); K *= 2.0) {
       samples.push_back(BuildCoreSet(data, K, Problem::kLambda,
-                                     options_.constant_scale, &rng,
-                                     options_.max_core_set_attempts));
+                                     options_.constant_scale, &rng));
     }
 
     weights_desc_ = SortedWeightsDesc(data);
     chain_.emplace(std::move(data), f_, options_.constant_scale, &rng,
-                   options_.max_core_set_attempts, factory);
+                   factory);
     large_k_chains_.reserve(samples.size());
     for (std::vector<Element>& s : samples) {
       large_k_chains_.emplace_back(std::move(s), f_,
-                                   options_.constant_scale, &rng,
-                                   options_.max_core_set_attempts, factory);
+                                   options_.constant_scale, &rng, factory);
     }
   }
 

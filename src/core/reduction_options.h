@@ -50,11 +50,6 @@ struct ReductionOptions {
   // Seed for all sampling. Two structures built with the same data and
   // seed are identical.
   uint64_t seed = 0x7074'6f70'6b31ULL;
-
-  // Lemma 2's proof succeeds with probability > 1/6 per draw; the builder
-  // redraws a core-set whose *size* exceeds the Markov bound (3np) up to
-  // this many times before accepting the smallest draw seen.
-  size_t max_core_set_attempts = 16;
 };
 
 }  // namespace topk

@@ -116,8 +116,7 @@ class TopFChain {
   // constructs a Pri from a vector of elements (see core/factory.h).
   template <typename Factory = DirectFactory<Pri>>
   TopFChain(std::vector<Element> data, size_t f, double constant_scale,
-            Rng* rng, size_t max_core_set_attempts,
-            const Factory& factory = {})
+            Rng* rng, const Factory& factory = {})
       : f_(f), scale_(constant_scale) {
     TOPK_CHECK(f_ >= 1);
     std::vector<Element> current = std::move(data);
@@ -127,8 +126,7 @@ class TopFChain {
       const bool bottom = n_j <= 4 * f_;
       if (!bottom) {
         next = BuildCoreSet(current, static_cast<double>(f_),
-                            Problem::kLambda, scale_, rng,
-                            max_core_set_attempts);
+                            Problem::kLambda, scale_, rng);
       }
       // Flat source for the sharded degenerate-probe kernel; only
       // levels over a Pri with stable slots and big enough to ever

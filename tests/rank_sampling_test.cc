@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -141,11 +142,64 @@ TEST(CoreSet, BuilderRespectsMarkovSizeBound) {
   Rng rng(6);
   std::vector<Point1D> data = test::RandomPoints1D(50000, &rng);
   const double K = 2000;
-  std::vector<Point1D> core =
-      BuildCoreSet(data, K, 2.0, 1.0, &rng, 16);
+  std::vector<Point1D> core = BuildCoreSet(data, K, 2.0, 1.0, &rng);
   const double bound =
       3.0 * CoreSetProbability(data.size(), K, 2.0, 1.0) * 50000.0;
   EXPECT_LE(static_cast<double>(core.size()), bound);
+}
+
+// True iff `sub` is `data` with some elements dropped, order kept.
+bool IsSubsequence(const std::vector<Point1D>& sub,
+                   const std::vector<Point1D>& data) {
+  size_t j = 0;
+  for (const Point1D& e : data) {
+    if (j < sub.size() && sub[j].id == e.id && sub[j].x == e.x &&
+        sub[j].weight == e.weight) {
+      ++j;
+    }
+  }
+  return j == sub.size();
+}
+
+// Every seed here lands in a draw that fits 3np: a draw misses the
+// Markov bound with probability <= 1/3, so all kMaxCoreSetAttempts miss
+// with probability <= 3^-16, and no seed tried reaches the
+// smallest-draw fallback. That branch stays untested.
+TEST(CoreSet, BuilderDrawsASubsetWithinTheSizeBound) {
+  Rng gen(8);
+  const std::vector<Point1D> data = test::RandomPoints1D(20000, &gen);
+  const double K = 500, lambda = 2.0;
+  const double bound =
+      3.0 * CoreSetProbability(data.size(), K, lambda, 1.0) * 20000.0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::vector<Point1D> core = BuildCoreSet(data, K, lambda, 1.0, &rng);
+    EXPECT_FALSE(core.empty());
+    EXPECT_LE(static_cast<double>(core.size()), bound);
+    EXPECT_TRUE(IsSubsequence(core, data));
+  }
+}
+
+TEST(CoreSet, BuilderIsDeterministicPerSeed) {
+  Rng gen(9);
+  const std::vector<Point1D> data = test::RandomPoints1D(20000, &gen);
+  Rng a(42), b(42), c(43);
+  const std::vector<uint64_t> first =
+      test::IdsOf(BuildCoreSet(data, 500.0, 2.0, 1.0, &a));
+  EXPECT_EQ(first, test::IdsOf(BuildCoreSet(data, 500.0, 2.0, 1.0, &b)));
+  EXPECT_NE(first, test::IdsOf(BuildCoreSet(data, 500.0, 2.0, 1.0, &c)));
+}
+
+// For small K, p = 4*(lambda/K)*ln n exceeds 1 and clamps to it: the
+// core-set is the whole input.
+TEST(CoreSet, BuilderKeepsEveryElementWhenPClampsToOne) {
+  Rng gen(10);
+  const std::vector<Point1D> data = test::RandomPoints1D(1000, &gen);
+  const double K = 4.0;
+  ASSERT_EQ(CoreSetProbability(data.size(), K, 2.0, 1.0), 1.0);
+  Rng rng(11);
+  EXPECT_EQ(test::IdsOf(BuildCoreSet(data, K, 2.0, 1.0, &rng)),
+            test::IdsOf(data));
 }
 
 // The core-set property that the reductions rely on, checked directly:
@@ -161,7 +215,7 @@ TEST(CoreSet, PivotRankLandsInWindow) {
   int successes = 0;
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
-    std::vector<Point1D> core = BuildCoreSet(data, K, lambda, 1.0, &rng, 16);
+    std::vector<Point1D> core = BuildCoreSet(data, K, lambda, 1.0, &rng);
     // q = full domain: |q(D)| = n >= 4K.
     std::vector<Point1D> core_sorted = core;
     std::sort(core_sorted.begin(), core_sorted.end(), ByWeightDesc());

@@ -6,9 +6,9 @@
 #
 # A well-formed bench output must summarize cleanly (exit 0, rendering the
 # google-benchmark rows and passing plain-text tables through); a missing
-# input file must fail with a nonzero exit and a diagnostic — a silently
-# empty summary would be mistaken for a clean run when diffed against
-# EXPERIMENTS.md.
+# input file, or a section that yields no row or line, must fail with a
+# nonzero exit and a diagnostic — a silently empty summary would be
+# mistaken for a clean run when diffed against EXPERIMENTS.md.
 
 foreach(var PYTHON SCRIPT FIXTURES)
   if(NOT DEFINED ${var})
@@ -37,5 +37,7 @@ endfunction()
 expect_run(zero "BM_Thm1CoreSet" ${FIXTURES}/good_bench_output.txt)
 expect_run(zero "off ns/q"       ${FIXTURES}/good_bench_output.txt)
 expect_run(nonzero "cannot read" ${FIXTURES}/no_such_file.txt)
+expect_run(nonzero "section bench_interval yielded no row"
+           ${FIXTURES}/empty_section_bench_output.txt)
 
 message(STATUS "summarize_bench.py: all checks passed")

@@ -56,7 +56,7 @@ void ExpectTopF(ScratchVec<Point1D>* top, const std::vector<Point1D>& want,
 TEST(TopFChain, SingleLevelWhenSmall) {
   Rng rng(1);
   std::vector<Point1D> data = test::RandomPoints1D(100, &rng);
-  Chain chain(data, /*f=*/50, /*constant_scale=*/1.0, &rng, 16);
+  Chain chain(data, /*f=*/50, /*constant_scale=*/1.0, &rng);
   EXPECT_EQ(chain.num_levels(), 1u);  // 100 <= 4 * 50
   Scratch scratch;
   auto top = chain.QueryTopF({0.0, 1.0}, &scratch, nullptr);
@@ -69,7 +69,7 @@ TEST(TopFChain, LevelsShrinkGeometrically) {
   Rng rng(2);
   std::vector<Point1D> data = test::RandomPoints1D(60000, &rng);
   const size_t f = CoreSetRank(60000, Range1DProblem::kLambda, 1.0) * 2;
-  Chain chain(data, f, 1.0, &rng, 16);
+  Chain chain(data, f, 1.0, &rng);
   ASSERT_GT(chain.num_levels(), 1u);
   for (size_t j = 1; j < chain.num_levels(); ++j) {
     EXPECT_LT(chain.level_size(j), chain.level_size(j - 1));
@@ -81,7 +81,7 @@ TEST(TopFChain, TopFMatchesBruteAcrossLevelsAndRanges) {
   Rng rng(3);
   std::vector<Point1D> data = test::RandomPoints1D(30000, &rng);
   const size_t f = 300;
-  Chain chain(data, f, 1.0, &rng, 16);
+  Chain chain(data, f, 1.0, &rng);
   Scratch scratch;
   int failures = 0;
   for (int trial = 0; trial < 30; ++trial) {
@@ -100,7 +100,7 @@ TEST(TopFChain, TopFMatchesBruteAcrossLevelsAndRanges) {
 
 TEST(TopFChain, EmptyPredicateReturnsEmpty) {
   Rng rng(4);
-  Chain chain(test::RandomPoints1D(5000, &rng), 100, 1.0, &rng, 16);
+  Chain chain(test::RandomPoints1D(5000, &rng), 100, 1.0, &rng);
   Scratch scratch;
   auto top = chain.QueryTopF({2.0, 3.0}, &scratch, nullptr);
   ASSERT_TRUE(top.has_value());
@@ -110,7 +110,7 @@ TEST(TopFChain, EmptyPredicateReturnsEmpty) {
 TEST(TopFChain, StatsChargedPerLevel) {
   Rng rng(5);
   std::vector<Point1D> data = test::RandomPoints1D(40000, &rng);
-  Chain chain(data, 200, 1.0, &rng, 16);
+  Chain chain(data, 200, 1.0, &rng);
   QueryStats stats;
   Scratch scratch;
   // Whole domain: deep recursion.

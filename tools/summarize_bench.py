@@ -8,6 +8,10 @@ time, counters) or passes through the plain-text tables of the
 measurement binaries (E4/E6/E12/E13/E15/E19/E20/E22-E24/E26), so a
 fresh run can be diffed against the numbers recorded in EXPERIMENTS.md.
 The serving stacks are measured by perfbench/run.py, not here.
+
+Exits nonzero, naming the section, when a `=== bench_x` section yields
+no row or line: a binary that registered or printed nothing would
+otherwise pass as a clean run.
 """
 
 import re
@@ -29,9 +33,11 @@ def main() -> int:
     gbench_row = re.compile(
         r"^(\S+)\s+(\d+(?:\.\d+)?) ns\s+(\d+(?:\.\d+)?) ns\s+\d+(.*)$")
     passthrough = False
+    rows = {}  # section -> rows or lines it yielded
     for line in lines:
         if line.startswith("=== "):
             section = line.strip("= ").strip()
+            rows.setdefault(section, 0)
             # Plain-table binaries are passed through verbatim.
             passthrough = section in {
                 "bench_space", "bench_lemmas", "bench_em", "bench_rounds",
@@ -45,6 +51,7 @@ def main() -> int:
         if passthrough:
             if line.strip():
                 print(f"  {line}")
+                rows[section] += 1
             continue
         m = gbench_row.match(line.strip())
         if m:
@@ -54,7 +61,12 @@ def main() -> int:
                 if "=" in tok and not tok.startswith("bytes_per_second"))
             cpu_us = float(cpu) / 1000.0
             print(f"  {name:<32} {cpu_us:>10.2f} us  {extras}")
-    return 0
+            rows[section] += 1
+    empty = [name for name, count in rows.items() if count == 0]
+    for name in empty:
+        print(f"summarize_bench.py: section {name} yielded no row or line",
+              file=sys.stderr)
+    return 1 if empty else 0
 
 
 if __name__ == "__main__":
