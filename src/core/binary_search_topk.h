@@ -30,11 +30,9 @@
 #include "common/check.h"
 #include "common/scratch.h"
 #include "common/stats.h"
-#include "core/factory.h"
 #include "core/problem.h"
 #include "core/sink.h"
 #include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -90,16 +88,15 @@ auto ProbeReachesK(const Pri& pri, const Pred& q, size_t k,
 //
 // Intra-query parallelism: the count tests stay serial, but the final
 // fetch is un-budgeted (budget n + 1, a degenerate full fetch) and runs
-// through the sharded flat kernel over pri's slots when `flat` (the
-// caller's flat source for pri) is engaged and a context is present.
+// through the sharded flat kernel over pri's slots when pri has stable
+// slots and a context is present.
 template <typename Problem, typename Pri, typename ReachesK,
           typename Element = typename Problem::Element>
 void BinarySearchTopKQueryInto(
     const Pri& pri, const std::vector<double>& weights_desc,
     const typename Problem::Predicate& q, size_t k, ReachesK&& reaches_k,
     Scratch* scratch, std::vector<Element>* out, QueryStats* stats,
-    trace::Tracer* tracer, const parallel::FlatSource<Pri, Element>& flat,
-    parallel::Context* par) {
+    trace::Tracer* tracer, parallel::Context* par) {
   out->clear();
   if (k == 0 || weights_desc.empty()) return;
   trace::Span span(tracer, "binary_search", stats);
@@ -120,8 +117,8 @@ void BinarySearchTopKQueryInto(
   const double tau = (lo < weights_desc.size())
                          ? weights_desc[lo]
                          : -std::numeric_limits<double>::infinity();
-  FetchTopKInto<Problem>(pri, flat, q, tau, pri.size() + 1, k, scratch, out,
-                         stats, tracer, par);
+  FetchTopKInto<Problem>(pri, q, tau, pri.size() + 1, k, scratch, out, stats,
+                         tracer, par);
 }
 
 // Self-contained baseline structure: owns the prioritized structure and
@@ -138,16 +135,14 @@ class BinarySearchTopK {
 
   explicit BinarySearchTopK(std::vector<Element> data)
       : weights_desc_(SortedWeightsDesc(data)),
-        pri_(flat_.Build(std::move(data), DirectFactory<Pri>{})) {}
+        pri_(std::move(data)) {}
 
   size_t size() const { return pri_.size(); }
 
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): one sorted
-  // weight per element, and the flat source matches pri's slots.
-  // Aborts via TOPK_CHECK on violation.
+  // weight per element. Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     AuditSortedWeights(weights_desc_, pri_.size());
-    flat_.AuditInvariants(pri_);
   }
 
   // The k heaviest elements of q(D), heaviest first, into *out: zero
@@ -161,17 +156,13 @@ class BinarySearchTopK {
     BinarySearchTopKQueryInto<Problem>(
         pri_, weights_desc_, q, k,
         ProbeReachesK(pri_, q, k, scratch, stats, tracer), scratch, out,
-        stats, tracer, flat_, par);
+        stats, tracer, par);
   }
 
   const Pri& prioritized() const { return pri_; }
 
  private:
   std::vector<double> weights_desc_;
-  // Slot weights for the sharded final fetch; engaged iff Pri has
-  // stable slots and n >= kMinShardedN. Declared before pri_, whose
-  // initializer builds it.
-  parallel::FlatSource<Pri, Element> flat_;
   Pri pri_;
 };
 

@@ -50,7 +50,6 @@
 #include "core/sink.h"
 #include "core/top_f.h"
 #include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -150,7 +149,7 @@ class CoreSetTopK {
       // Read everything: O(n/B) = O(k/B).
       span.Arg("full_scan", 1);
       if (stats != nullptr) ++stats->full_scans;
-      FetchTopKInto<Problem>(chain_->level0(), chain_->level0_flat(), q,
+      FetchTopKInto<Problem>(chain_->level0(), q,
                              -std::numeric_limits<double>::infinity(),
                              n_ + 1, k, scratch, out, stats, tracer, par);
       return;
@@ -173,8 +172,7 @@ class CoreSetTopK {
       // per-query attribution E23 cares about.
       span.Arg("core_set_level", i);
       top = Lemma2Step<Problem>(
-          chain_->level0(), chain_->level0_flat(), options_.constant_scale,
-          q, K, k,
+          chain_->level0(), options_.constant_scale, q, K, k,
           [&]() -> std::optional<ScratchVec<Element>> {
             if (i > large_k_chains_.size()) return std::nullopt;
             return large_k_chains_[i - 1].QueryTopF(q, scratch, stats,
@@ -218,7 +216,7 @@ class CoreSetTopK {
     BinarySearchTopKQueryInto<Problem>(
         pri, weights_desc_, q, k,
         ProbeReachesK(pri, q, k, scratch, stats, tracer), scratch, out,
-        stats, tracer, chain_->level0_flat(), par);
+        stats, tracer, par);
   }
 
   ReductionOptions options_;

@@ -34,10 +34,8 @@
 #include "common/scratch.h"
 #include "common/stats.h"
 #include "core/binary_search_topk.h"
-#include "core/factory.h"
 #include "core/problem.h"
 #include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -57,18 +55,16 @@ class CountingTopK {
   explicit CountingTopK(std::vector<Element> data)
       : weights_desc_(SortedWeightsDesc(data)),
         counter_(data),
-        pri_(flat_.Build(std::move(data), DirectFactory<Pri>{})),
+        pri_(std::move(data)),
         n_(pri_.size()) {}
 
   size_t size() const { return n_; }
 
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): one sorted
-  // weight per element, and the flat source matches pri's slots.
-  // Aborts via TOPK_CHECK on violation.
+  // weight per element. Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK_EQ(pri_.size(), n_);
     AuditSortedWeights(weights_desc_, n_);
-    flat_.AuditInvariants(pri_);
   }
 
   // The k heaviest elements of q(D), heaviest first, into *out (cleared
@@ -90,16 +86,11 @@ class CountingTopK {
           if (stats != nullptr) ++stats->max_queries;  // count probes
           return counter_.Count(q, tau, stats) >= k;
         },
-        scratch, out, stats, tracer, flat_, par);
+        scratch, out, stats, tracer, par);
   }
 
  private:
   std::vector<double> weights_desc_;
-  // Slot weights for the sharded tally fetch (see parallel/flat_scan.h);
-  // engaged iff Pri has stable slots and the set is big enough to ever
-  // shard. Precedes pri_ in declaration order, so it is alive while
-  // pri_'s initializer builds it.
-  parallel::FlatSource<Pri, Element> flat_;
   Counter counter_;
   Pri pri_;
   size_t n_;

@@ -1,9 +1,10 @@
 // Tunables of the two reductions.
 //
 // Defaults follow the paper's constants, except that an unset block size
-// B reads a RAM constant (below); every constant can be overridden so
-// the ablation benchmarks (E15) can measure how much headroom the paper's
-// worst-case constants leave on realistic inputs.
+// B reads a RAM constant (below); B and the structural constant scale
+// can be overridden so the ablation benchmarks (E15) can measure how
+// much headroom the paper's worst-case constants leave on realistic
+// inputs. Theorem 2's ladder spacing is the paper's fixed 1/20.
 
 #ifndef TOPK_CORE_REDUCTION_OPTIONS_H_
 #define TOPK_CORE_REDUCTION_OPTIONS_H_
@@ -26,6 +27,11 @@ inline constexpr size_t kRamBlockSizeThm1 = 16;
 // space: at B = 16 they hold ~2.7x the elements of B = 64's (E15).
 inline constexpr size_t kRamBlockSizeThm2 = 64;
 
+// Theorem 2's geometric spacing sigma = 1/20: its sample-level
+// parameters run K_i = B * Q_max(n) * (1 + sigma)^{i-1} for every
+// K_i <= n/4.
+inline constexpr double kThm2Sigma = 0.05;
+
 struct ReductionOptions {
   // The external-memory block size B, in words. Set it for an
   // external-memory substrate, to the device block in words; the paper
@@ -42,10 +48,6 @@ struct ReductionOptions {
   // guarantees for speed; correctness is unaffected because queries
   // verify their answer and fall back when a sample proves unlucky.
   double constant_scale = 1.0;
-
-  // Theorem 2's geometric spacing sigma (paper: 1/20). K_i grows by
-  // (1 + sigma) per level.
-  double sigma = 0.05;
 
   // Seed for all sampling. Two structures built with the same data and
   // seed are identical.

@@ -3,9 +3,10 @@
 //
 // Structure (Section 4): a prioritized structure on D, plus for each
 // i = 1..h a (1/K_i)-sample R_i of D carrying a max structure, where
-// K_i = B * Q_max(n) * (1+sigma)^{i-1} (sigma = 1/20) and h is the
-// largest i with K_i <= n/4. B is the options' block_size, or
-// kRamBlockSizeThm2 when it is unset (an in-memory substrate).
+// K_i = B * Q_max(n) * (1+sigma)^{i-1} (sigma = kThm2Sigma = 1/20) and
+// h is the largest i with K_i <= n/4. B is the options' block_size, or
+// kRamBlockSizeThm2 when it is unset (an in-memory substrate); both
+// constants live in core/reduction_options.h.
 //
 // Query (round protocol): starting at the smallest i with K_i >= k, each
 // round j
@@ -47,7 +48,6 @@
 #include "core/reduction_options.h"
 #include "core/sink.h"
 #include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -84,11 +84,6 @@ class SampledTopK {
         m.Erase(e);
       };
 
-  // The flat source reads Pri's slot weights once per build, so a Pri
-  // with stable slots must not change between builds.
-  static_assert(!(parallel::SlotAddressable<Pri, Element> &&
-                  requires(Pri& p, const Element& e) { p.Insert(e); }));
-
   explicit SampledTopK(std::vector<Element> data,
                        const ReductionOptions& options = {},
                        PriFactory pri_factory = {},
@@ -116,16 +111,14 @@ class SampledTopK {
   // max structure without a matching membership record (the converse
   // direction; a clobbered membership entry is invisible to the
   // forward checks alone); static instantiations keep no membership
-  // at all. The flat source matches the prioritized structure's slots.
-  // Aborts via TOPK_CHECK on violation.
+  // at all. Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(pri_.has_value());
     TOPK_CHECK_EQ(pri_->size(), n_);
-    flat_.AuditInvariants(*pri_);
     size_t expected_levels = 0;
     double K = base_k_;
     for (; K <= static_cast<double>(built_n_) / 4.0;
-         K *= (1.0 + options_.sigma)) {
+         K *= 1.0 + kThm2Sigma) {
       TOPK_CHECK(expected_levels < levels_.size());
       TOPK_CHECK_EQ(levels_[expected_levels].K, K);
       // E|R_i| = n/K_i; a sample can never exceed its source set.
@@ -221,8 +214,8 @@ class SampledTopK {
       // degenerate round (4K_j + 1 > n: the budget is unreachable) always
       // completes here, so steps 2-4 (whose fetch shares this budget)
       // never see a fetch the primitive would shard.
-      if (!FetchTopKInto<Problem>(*pri_, flat_, q, kNegInf, budget, k,
-                                  scratch, out, stats, tracer, par)
+      if (!FetchTopKInto<Problem>(*pri_, q, kNegInf, budget, k, scratch, out,
+                                  stats, tracer, par)
                .hit_budget) {
         round.Arg("verdict", kRoundProbeComplete);
         return;
@@ -242,9 +235,8 @@ class SampledTopK {
       // window guarantees the top-k are inside S then).
       const size_t min_matched = static_cast<size_t>(level.K) + 1;
       const FetchVerdict fetched =
-          FetchTopKInto<Problem>(*pri_, flat_, q, e->weight, budget, k,
-                                 scratch, out, stats, tracer, par,
-                                 min_matched);
+          FetchTopKInto<Problem>(*pri_, q, e->weight, budget, k, scratch,
+                                 out, stats, tracer, par, min_matched);
       if (!fetched.hit_budget && fetched.matched >= min_matched) {
         round.Arg("verdict", kRoundSuccess);
         return;
@@ -332,7 +324,7 @@ class SampledTopK {
     std::vector<std::pair<double, std::vector<Element>>> samples;
     for (double K = base_k_;
          K <= static_cast<double>(n_) / 4.0;
-         K *= (1.0 + options_.sigma)) {
+         K *= 1.0 + kThm2Sigma) {
       std::vector<Element> r;
       const double p = 1.0 / K;
       for (const Element& e : data) {
@@ -348,11 +340,7 @@ class SampledTopK {
       }
       levels_.push_back(Level{K, max_factory_(std::move(sample))});
     }
-    // Flat source for the sharded degenerate rounds / terminal scan;
-    // engaged iff Pri has stable slots and the set is big enough to ever
-    // shard. Such a Pri takes no updates, so it stays valid until the
-    // next build.
-    pri_.emplace(flat_.Build(std::move(data), pri_factory_));
+    pri_.emplace(pri_factory_(std::move(data)));
   }
 
   void ScanAllInto(const Predicate& q, size_t k, Scratch* scratch,
@@ -364,8 +352,8 @@ class SampledTopK {
     if (stats != nullptr) ++stats->full_scans;
     // Budget n + 1 is always degenerate: the terminal scan is the
     // sharded kernel's home turf.
-    FetchTopKInto<Problem>(*pri_, flat_, q, kNegInf, n_ + 1, k, scratch, out,
-                           stats, tracer, par);
+    FetchTopKInto<Problem>(*pri_, q, kNegInf, n_ + 1, k, scratch, out, stats,
+                           tracer, par);
   }
 
   // Global rebuilding keeps the K_i ladder matched to the current n;
@@ -395,10 +383,6 @@ class SampledTopK {
   // optional<> lets Build construct the structure after sampling; always
   // engaged outside the constructor.
   std::optional<Pri> pri_;
-  // Slot weights for the sharded kernel; engaged iff Pri has stable
-  // slots and built_n_ >= parallel::kMinShardedN (see
-  // parallel/flat_scan.h).
-  parallel::FlatSource<Pri, Element> flat_;
   std::vector<Level> levels_;
   // Dynamic instantiations: one entry per LIVE element (the value lists
   // the levels whose sample holds it, possibly none) — completeness is

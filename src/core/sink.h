@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -161,17 +160,17 @@ struct FetchVerdict {
 //
 // The shard-or-serial decision lives here. A degenerate fetch (budget >
 // n: the budget is unreachable) over a substrate with stable slots
-// (parallel::SlotAddressable) and an engaged flat source runs as the
-// sharded flat kernel over pri's own slots when `par` has more than
-// one shard and n >= kMinShardedN, merging straight into *out; its
-// exact match count reproduces every decision the serial query feeds.
-// Every other fetch is the serial MonitoredQuery body plus k-selection
-// (SelectTopK into a caller's vector, SelectTopKUnordered into a
-// borrowed pool), and a substrate without stable slots always takes
-// it: no caller shards one, and an EM substrate's I/O must flow through
-// its buffer pool. Both charge one prioritized query and every match emitted
-// (budget > n: never cut off); the sharded path charges its n scanned
-// slots as nodes (the ScanTopK convention), once, post-merge, under one
+// (parallel::SlotAddressable) runs as the sharded flat kernel over
+// pri's own slots when `par` has more than one shard and n >=
+// kMinShardedN, merging straight into *out; its exact match count
+// reproduces every decision the serial query feeds. Every other fetch
+// is the serial MonitoredQuery body plus k-selection (SelectTopK into a
+// caller's vector, SelectTopKUnordered into a borrowed pool), and a
+// substrate without stable slots always takes it: no caller shards
+// one, and an EM substrate's I/O must flow through its buffer pool.
+// Both charge one prioritized query and every match emitted (budget >
+// n: never cut off); the sharded path charges its n scanned slots as
+// nodes (the ScanTopK convention), once, post-merge, under one
 // "flat_scan" span on the calling thread, so helpers never touch stats
 // or tracers.
 //
@@ -182,20 +181,18 @@ struct FetchVerdict {
 template <typename Problem, typename Pri, typename Out,
           typename E = typename Problem::Element>
 FetchVerdict FetchTopKInto(const Pri& pri,
-                           const parallel::FlatSource<Pri, E>& flat,
                            const typename Problem::Predicate& q, double tau,
                            size_t budget, size_t k, Scratch* scratch,
                            Out* out, QueryStats* stats,
                            trace::Tracer* tracer, parallel::Context* par,
                            size_t min_matched = 0) {
   if constexpr (parallel::SlotAddressable<Pri, E>) {
-    const std::span<const double> weights = flat.weights();
-    const size_t n = weights.size();
+    const size_t n = pri.size();
     if (par != nullptr && par->shards() > 1 && budget > n &&
         n >= parallel::kMinShardedN) {
       trace::Span span(tracer, "flat_scan", stats);
       const size_t matched = parallel::FlatScanTopKInto<Problem>(
-          pri, weights, q, tau, k, par, scratch, sink_internal::VecOf(out));
+          pri, q, tau, k, par, scratch, sink_internal::VecOf(out));
       if (stats != nullptr) {
         ++stats->prioritized_queries;
         AddEmitted(stats, matched);

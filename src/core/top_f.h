@@ -37,16 +37,15 @@
 #include "core/problem.h"
 #include "core/sink.h"
 #include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
 
-// One Lemma 2 step (Section 3.2) on a set X indexed by `pri` (with its
-// flat source), for parameters K and k_out <= K. TopFChain runs it at
-// every level (K = k_out = f, deeper set = level j + 1); CoreSetTopK's
-// large-k ladder at rung i (K = 2^i f, k_out = k, deeper set = core-set
-// R[i]'s chain). The step asks the deeper set first and probes only as
+// One Lemma 2 step (Section 3.2) on a set X indexed by `pri`, for
+// parameters K and k_out <= K. TopFChain runs it at every level
+// (K = k_out = f, deeper set = level j + 1); CoreSetTopK's large-k
+// ladder at rung i (K = 2^i f, k_out = k, deeper set = core-set R[i]'s
+// chain). The step asks the deeper set first and probes only as
 // a fallback:
 //   * when |X| > 4K, `deeper_top_f()` is the top-f of q(R) for a
 //     core-set R of X with parameter K, or nullopt when there is none
@@ -70,10 +69,9 @@ namespace topk {
 template <typename Problem, typename Pri, typename DeeperTopF,
           typename E = typename Problem::Element>
 std::optional<ScratchVec<E>> Lemma2Step(
-    const Pri& pri, const parallel::FlatSource<Pri, E>& flat, double scale,
-    const typename Problem::Predicate& q, size_t K, size_t k_out,
-    DeeperTopF&& deeper_top_f, Scratch* scratch, QueryStats* stats,
-    trace::Tracer* tracer, parallel::Context* par) {
+    const Pri& pri, double scale, const typename Problem::Predicate& q,
+    size_t K, size_t k_out, DeeperTopF&& deeper_top_f, Scratch* scratch,
+    QueryStats* stats, trace::Tracer* tracer, parallel::Context* par) {
   std::optional<double> tau;  // the pivot's weight, when there is one
   if (pri.size() > 4 * K) {
     std::optional<ScratchVec<E>> deeper = deeper_top_f();
@@ -88,14 +86,12 @@ std::optional<ScratchVec<E>> Lemma2Step(
   ScratchVec<E> top = scratch->Borrow<E>();
   if (tau.has_value()) {
     const FetchVerdict fetched =
-        FetchTopKInto<Problem>(pri, flat, q, *tau, 8 * K + 1, k_out, scratch,
-                               &top, stats, tracer, par,
-                               /*min_matched=*/k_out);
+        FetchTopKInto<Problem>(pri, q, *tau, 8 * K + 1, k_out, scratch, &top,
+                               stats, tracer, par, /*min_matched=*/k_out);
     if (fetched.hit_budget) return std::nullopt;  // rank too deep
     if (fetched.matched >= k_out) return top;
   }  // no pivot, or rank too high: only a complete probe can answer
-  if (FetchTopKInto<Problem>(pri, flat, q,
-                             -std::numeric_limits<double>::infinity(),
+  if (FetchTopKInto<Problem>(pri, q, -std::numeric_limits<double>::infinity(),
                              4 * K + 1, k_out, scratch, &top, stats, tracer,
                              par)
           .hit_budget) {
@@ -128,12 +124,7 @@ class TopFChain {
         next = BuildCoreSet(current, static_cast<double>(f_),
                             Problem::kLambda, scale_, rng);
       }
-      // Flat source for the sharded degenerate-probe kernel; only
-      // levels over a Pri with stable slots and big enough to ever
-      // shard engage one (see parallel/flat_scan.h).
-      parallel::FlatSource<Pri, Element> flat;
-      Pri pri = flat.Build(std::move(current), factory);
-      levels_.push_back(Level{std::move(pri), n_j, std::move(flat)});
+      levels_.push_back(Level{factory(std::move(current)), n_j});
       if (bottom) break;
       // Guard against a non-shrinking chain (possible only with
       // aggressive constant_scale ablation): stop; queries that bottom
@@ -151,27 +142,18 @@ class TopFChain {
   // with the enclosing CoreSetTopK so the input is indexed once.
   const Pri& level0() const { return levels_.front().pri; }
 
-  // Level 0's flat source, shared with the enclosing CoreSetTopK for
-  // the same reason; disengaged when Pri has no stable slots or the
-  // input is too small to ever shard.
-  const parallel::FlatSource<Pri, Element>& level0_flat() const {
-    return levels_.front().flat;
-  }
-
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Lemma 2
   // nesting — every core-set level is a strictly smaller subset of its
   // parent, each level's structure indexes exactly the recorded count,
   // and the chain bottoms out at <= 4f elements unless the non-shrinking
   // guard truncated it (then the last level is the one that refused to
-  // shrink); each level's flat source matches its structure's slots.
-  // Aborts via TOPK_CHECK on violation.
+  // shrink). Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(f_ >= 1);
     TOPK_CHECK(!levels_.empty());
     for (size_t j = 0; j < levels_.size(); ++j) {
       TOPK_CHECK_EQ(levels_[j].pri.size(), levels_[j].n);
       if (j > 0) TOPK_CHECK_LT(levels_[j].n, levels_[j - 1].n);
-      levels_[j].flat.AuditInvariants(levels_[j].pri);
     }
     // Every level above the bottom must have been worth splitting.
     for (size_t j = 0; j + 1 < levels_.size(); ++j) {
@@ -195,9 +177,6 @@ class TopFChain {
   struct Level {
     Pri pri;
     size_t n;  // number of elements indexed at this level
-    // Slot weights for the sharded kernel; engaged iff Pri has stable
-    // slots and n >= kMinShardedN.
-    parallel::FlatSource<Pri, Element> flat;
   };
 
   std::optional<ScratchVec<Element>> QueryLevel(
@@ -208,7 +187,7 @@ class TopFChain {
     span.Arg("level", j);
     span.Arg("n", level.n);
     return Lemma2Step<Problem>(
-        level.pri, level.flat, scale_, q, f_, f_,
+        level.pri, scale_, q, f_, f_,
         [&]() -> std::optional<ScratchVec<Element>> {
           if (j + 1 >= levels_.size()) return std::nullopt;  // truncated
           return QueryLevel(j + 1, q, scratch, stats, tracer, par);

@@ -13,15 +13,14 @@
 //   shard -> sorted local run | co-ranked split -> sharded merge.
 //
 // Slots: the kernel reads elements through a SlotAddressable source —
-// size() dense slots, ElementAt(slot) — and a contiguous array of the
-// slot weights, which is all the tau prefilter reads (a branchless
-// compare-and-compress over doubles: the measured SIMD-friendly layout;
-// see EXPERIMENTS.md E27). Only a substrate with stable slots (the
-// PST's nodes_) is scanned: it is its own slot source, and its
-// reduction keeps just the slot weights (FlatSource). A substrate
-// without stable slots is never sharded; its fetches run its own
-// monitored query, so an EM substrate's I/O still flows through its
-// buffer pool.
+// size() dense slots, ElementAt(slot) — and nothing else: the tau
+// prefilter reads each slot's weight in place, as a branchless
+// compare-and-compress ahead of the predicate (see EXPERIMENTS.md E24
+// and E27). Only a substrate with stable slots (the PST's nodes_) is
+// scanned, and it is its own slot source, so a reduction keeps no copy
+// of it. A substrate without stable slots is never sharded; its fetches
+// run its own monitored query, so an EM substrate's I/O still flows
+// through its buffer pool.
 //
 // Region 1: the slots are cut into 512-slot blocks and shard s scans
 // blocks s, s + S, s + 2S, ... Interleaving balances the shards for any
@@ -76,7 +75,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -99,62 +97,11 @@ inline constexpr size_t kMaxShards = 32;
 inline constexpr size_t kMinShardedN = 4096;
 
 // A slot source for the kernel: size() dense slots, each holding one
-// element, read by index. Slots never move while the source lives, so
-// slot i's weight can be copied out once (FlatSource's weight array).
+// element, read by index. Slots stay put for the length of a query.
 template <typename S, typename E>
 concept SlotAddressable = requires(const S& s, size_t slot) {
   { s.size() } -> std::convertible_to<size_t>;
   { s.ElementAt(slot) } -> std::same_as<const E&>;
-};
-
-// What a reduction keeps so the kernel can scan its substrate Pri: the
-// slot weights of a SlotAddressable Pri big enough to ever shard
-// (n >= kMinShardedN; 8 B per element), else nothing. While it is
-// empty no fetch shards, so a substrate without stable slots always
-// fetches through its own query (see core/sink.h FetchTopKInto). No
-// pointer into Pri is kept: the fetch is handed the caller's own Pri at
-// query time, so moving or copying the reduction cannot leave one
-// dangling.
-template <typename Pri, typename E>
-class FlatSource {
- public:
-  // Builds the substrate as make(std::move(data)) and (re)reads the
-  // slot weights from it.
-  template <typename Make>
-  Pri Build(std::vector<E> data, const Make& make) {
-    Pri pri = make(std::move(data));
-    weights_ = SlotWeights(pri);
-    return pri;
-  }
-
-  std::span<const double> weights() const { return weights_; }
-
-  // Audit hook for the owning reduction: the source is engaged exactly
-  // when pri has stable slots and is big enough to ever shard, and
-  // (under TOPK_AUDIT, O(n)) weights()[i] is the weight of slot i.
-  void AuditInvariants(const Pri& pri) const {
-    const bool engaged =
-        SlotAddressable<Pri, E> && pri.size() >= kMinShardedN;
-    TOPK_CHECK_EQ(weights_.size(), engaged ? pri.size() : size_t{0});
-#ifdef TOPK_AUDIT
-    TOPK_CHECK(weights_ == SlotWeights(pri));
-#endif  // TOPK_AUDIT
-  }
-
- private:
-  // pri's slot weights when it is engaged, else empty.
-  static std::vector<double> SlotWeights(const Pri& pri) {
-    std::vector<double> w;
-    if constexpr (SlotAddressable<Pri, E>) {
-      if (pri.size() >= kMinShardedN) {
-        w.resize(pri.size());
-        for (size_t i = 0; i < w.size(); ++i) w[i] = pri.ElementAt(i).weight;
-      }
-    }
-    return w;
-  }
-
-  std::vector<double> weights_;
 };
 
 namespace flat_scan_internal {
@@ -218,20 +165,19 @@ void MergeRuns(const std::span<const E>* runs, size_t shards, size_t* heads,
 
 }  // namespace flat_scan_internal
 
-// Scans the slots of `slots` (weights[i] is slot i's weight) for
-// elements matching `q` with weight >= tau, writes the min(k, matched)
-// heaviest into *out sorted heaviest-first, and returns the EXACT match
-// count. Runs sharded across par's workers when profitable (par may be
-// null: serial). Charges nothing — see the file comment.
+// Scans the slots of `slots` for elements matching `q` with weight >=
+// tau, writes the min(k, matched) heaviest into *out sorted
+// heaviest-first, and returns the EXACT match count. Runs sharded
+// across par's workers when profitable (par may be null: serial).
+// Charges nothing — see the file comment.
 template <typename Problem, typename Slots>
   requires SlotAddressable<Slots, typename Problem::Element>
-size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
+size_t FlatScanTopKInto(const Slots& slots,
                         const typename Problem::Predicate& q, double tau,
                         size_t k, Context* par, Scratch* scratch,
                         std::vector<typename Problem::Element>* out) {
   using Element = typename Problem::Element;
   const size_t n = slots.size();
-  TOPK_CHECK_EQ(weights.size(), n);
   // Survivor indices below are uint32_t.
   TOPK_CHECK(static_cast<uint64_t>(n) <= (uint64_t{1} << 32));
   const bool thresholded = tau != -std::numeric_limits<double>::infinity();
@@ -295,13 +241,13 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
         }
         continue;
       }
-      // Branchless compare-and-compress over the contiguous weight
-      // array (the tau prefilter), then the predicate only runs on
-      // survivors.
+      // Branchless compare-and-compress over the slot weights (the tau
+      // prefilter), then the predicate only runs on survivors. Fusing
+      // the two loops into one branch per slot reads slower.
       size_t m = 0;
       for (size_t i = base; i < end; ++i) {
         idx[m] = static_cast<uint32_t>(i);
-        m += static_cast<size_t>(weights[i] >= tau);
+        m += static_cast<size_t>(MeetsThreshold(slots.ElementAt(i), tau));
       }
       for (size_t j = 0; j < m; ++j) {
         const Element& e = slots.ElementAt(idx[j]);
@@ -351,7 +297,7 @@ size_t FlatScanTopKInto(const Slots& slots, std::span<const double> weights,
     ScratchVec<Element> audit_pool = scratch->Borrow<Element>();
     for (size_t i = 0; i < n; ++i) {
       const Element& e = slots.ElementAt(i);
-      if ((!thresholded || weights[i] >= tau) && Problem::Matches(q, e)) {
+      if (MeetsThreshold(e, tau) && Problem::Matches(q, e)) {
         audit_pool.push_back(e);
       }
     }

@@ -19,7 +19,6 @@
 #ifndef TOPK_SERVE_COLD_START_H_
 #define TOPK_SERVE_COLD_START_H_
 
-#include <cstddef>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -37,8 +36,7 @@ namespace topk::serve {
 // EM pages stay the durable source of truth, the epoch structure is
 // the RAM serving copy).
 template <typename Element, typename Factory>
-auto ColdStart(std::vector<Element> recovered, Factory&& factory,
-               size_t max_readers = 64)
+auto ColdStart(std::vector<Element> recovered, Factory&& factory)
     -> std::unique_ptr<
         EpochManager<std::invoke_result_t<Factory, std::vector<Element>>>> {
   using S = std::invoke_result_t<Factory, std::vector<Element>>;
@@ -46,7 +44,7 @@ auto ColdStart(std::vector<Element> recovered, Factory&& factory,
                 "cold start publishes the built structure as a shared "
                 "epoch; it must be thread-shareable");
   return std::make_unique<EpochManager<S>>(
-      std::forward<Factory>(factory)(std::move(recovered)), max_readers);
+      std::forward<Factory>(factory)(std::move(recovered)));
 }
 
 }  // namespace topk::serve

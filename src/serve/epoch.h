@@ -48,6 +48,10 @@
 
 namespace topk::serve {
 
+// How many reader slots an EpochManager hands out (one per engine
+// registered on it).
+inline constexpr size_t kMaxReaders = 64;
+
 template <ShareableTopKStructure S>
 class EpochManager {
  public:
@@ -106,10 +110,8 @@ class EpochManager {
     const Epoch* epoch_ = nullptr;
   };
 
-  // The initial structure becomes epoch 1. max_readers bounds how many
-  // reader slots RegisterReader may hand out (one per engine).
-  explicit EpochManager(S initial, size_t max_readers = 64)
-      : slots_(max_readers) {
+  // The initial structure becomes epoch 1.
+  explicit EpochManager(S initial) : slots_(kMaxReaders) {
     current_.store(new Epoch{std::move(initial), 1},
                    std::memory_order_release);
   }
@@ -131,7 +133,7 @@ class EpochManager {
   // own. Thread-safe.
   size_t RegisterReader() {
     const size_t slot = num_readers_.fetch_add(1, std::memory_order_relaxed);
-    TOPK_CHECK(slot < slots_.size());  // raise max_readers if this fires
+    TOPK_CHECK(slot < kMaxReaders);  // more readers than kMaxReaders
     return slot;
   }
 

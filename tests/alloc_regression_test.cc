@@ -235,7 +235,7 @@ void ExpectZeroAllocSteadyStateThreaded(const Structure& s) {
 // every per-shard pool from the request worker's own Scratch, so once
 // Warmup() has primed the arenas (pools never shrink) a warm engine
 // with intra_query_workers > 1 also serves at exactly 0 allocs/request.
-// Needs n >= parallel::kMinShardedN so the flat sources engage, and deep ks
+// Needs n >= parallel::kMinShardedN so a fetch may shard, and deep ks
 // (k >= n/2 and k > |q(D)|) so the degenerate fetches actually shard;
 // one request worker keeps assignment deterministic while the shard
 // helpers run the measured window concurrently.
@@ -356,7 +356,8 @@ TEST(AllocRegression, ScanAndHeapSelectZeroSteadyStateAllocs) {
   ExpectZeroAllocSteadyStateThreaded(heap);
 }
 
-// Sharded-kernel data: big enough for every flat source to engage.
+// Sharded-kernel data: big enough (n >= parallel::kMinShardedN) for the
+// degenerate fetches to shard.
 std::vector<Point1D> ShardableData(size_t n = 5000) {
   Rng rng(4321);
   return test::ClumpedPoints1D(n, &rng);
@@ -445,12 +446,13 @@ int64_t HeldBytes(const Make& make) {
 
 // Space pin for S_top = O(S_pri): a static reduction over a
 // SlotAddressable substrate (the PST) scans the substrate's own slots,
-// so beyond a bare PST on the same data it holds only its sorted
-// weights, its slot weights (8 B per element of every level big enough
-// to shard) and its sample levels — no element copy. Each part is
-// measured from a bare instance of the same size; an element copy
-// (24 B per element of every such level) would overshoot the bound by
-// far more than its fixed slack.
+// tau prefilter included, so beyond a bare PST on the same data it
+// holds only its sorted weights (Theorem 1), its deeper core-set
+// levels and its sample levels (Theorem 2) — no element copy and no
+// copy of the slot weights. Each part is measured from a bare instance
+// of the same size; a slot-weight copy (8 B per element of every level
+// big enough to shard) or an element copy (24 B) would overshoot the
+// bound by far more than its fixed slack.
 TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
   TOPK_SKIP_UNDER_SANITIZERS();
   constexpr size_t kSpaceN = size_t{1} << 15;
@@ -465,9 +467,6 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
   auto weight_bytes = [](size_t m) {
     return HeldBytes([m] { return std::vector<double>(m); });
   };
-  auto slot_weight_bytes = [&](size_t m) {
-    return m >= parallel::kMinShardedN ? weight_bytes(m) : int64_t{0};
-  };
   const int64_t bare = pst_bytes(kSpaceN);
 
   {
@@ -479,7 +478,6 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
       for (size_t j = 0; j < chain.num_levels(); ++j) {
         const size_t m = chain.level_size(j);
         if (j > 0 || !shares_bare_level) bound += pst_bytes(m);
-        bound += slot_weight_bytes(m);
       }
     };
     add_chain(thm1.small_k_chain(), true);
@@ -495,7 +493,7 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
 
   {
     const Thm2 thm2(data);
-    int64_t bound = slot_weight_bytes(kSpaceN) + kSlack;
+    int64_t bound = kSlack;
     for (size_t i = 0; i < thm2.num_sample_levels(); ++i) {
       const size_t m = thm2.sample_level_size(i);
       // Samples are push_back-grown, as SampledTopK draws them.
@@ -514,8 +512,8 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
 }
 
 // Space pin for a substrate without stable slots: dynamic Theorem 2
-// over a DynamicPst is never sharded, so it keeps no slot weights and
-// no element copy. Beyond a bare DynamicPst on the same data it holds
+// over a DynamicPst is never sharded and keeps no element copy. Beyond
+// a bare DynamicPst on the same data it holds
 // only its sample levels and its membership index (id -> sampled
 // levels, one entry per live element), each measured from a bare
 // instance — after build and after a run of Erases.

@@ -365,10 +365,7 @@ TEST(FetchTopKInto, BudgetBoundariesSerialVsSharded) {
   Rng rng(4);
   const std::vector<Point1D> data =
       test::RandomPoints1D(parallel::kMinShardedN + 1000, &rng);
-  parallel::FlatSource<PrioritySearchTree, Point1D> flat;
-  const PrioritySearchTree pst =
-      flat.Build(data, DirectFactory<PrioritySearchTree>{});
-  ASSERT_EQ(flat.weights().size(), data.size());  // engaged
+  const PrioritySearchTree pst(data);
   const Range1D q{0.2, 0.7};
   const size_t k = 50;
   parallel::Context two(2);
@@ -393,7 +390,7 @@ TEST(FetchTopKInto, BudgetBoundariesSerialVsSharded) {
                        << " shards=" << (par == nullptr ? 1 : 2));
           std::vector<Point1D> got;
           const FetchVerdict v = FetchTopKInto<Range1DProblem>(
-              pst, flat, q, tau, budget, k, &scratch, &got, nullptr,
+              pst, q, tau, budget, k, &scratch, &got, nullptr,
               nullptr, par, min_matched);
           EXPECT_EQ(v.hit_budget, hit);
           if (hit) {

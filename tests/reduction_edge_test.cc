@@ -1,6 +1,7 @@
 // Edge behaviour of the reductions that the main sweeps don't isolate:
-// option plumbing (sigma, block size, seeds), the k >= n/2 scan path,
-// skewed weight distributions, and tiny-n boundary conditions.
+// option plumbing (block size, seeds), Theorem 2's fixed ladder
+// spacing, the k >= n/2 scan path, skewed weight distributions, and
+// tiny-n boundary conditions.
 
 #include <cmath>
 #include <cstddef>
@@ -11,6 +12,7 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/core_set_topk.h"
+#include "core/reduction_options.h"
 #include "core/sampled_topk.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
@@ -72,20 +74,27 @@ TEST(ReductionEdges, LargeKTakesScanPathAndIsExact) {
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
 }
 
+// Theorem 2's ladder spacing is the paper's fixed sigma = 1/20: the
+// sample levels are exactly the K_i = K_1 * (1 + sigma)^{i-1} <= n/4,
+// h = floor(log_{1+sigma}((n/4) / K_1)) + 1 of them, with
+// K_1 = B * Q_max(n) at the RAM B.
 TEST(ReductionEdges, SigmaControlsLadderDensity) {
   Rng rng(3);
-  std::vector<Point1D> data = test::RandomPoints1D(100000, &rng);
-  ReductionOptions sparse;
-  sparse.sigma = 0.5;  // K_i grows 1.5x per level
-  ReductionOptions dense;
-  dense.sigma = 0.05;  // paper's 1/20
-  Thm2 s(data, sparse), d(data, dense);
-  EXPECT_LT(s.num_sample_levels(), d.num_sample_levels());
-  // Both remain exact.
+  constexpr size_t n = 100000;
+  std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  const Thm2 thm2(data);
+  const double k1 = static_cast<double>(kRamBlockSizeThm2) *
+                    RangeMax::QueryCostBound(n, kRamBlockSizeThm2);
+  ASSERT_EQ(thm2.base_k(), k1);
+  const double ratio = static_cast<double>(n) / 4.0 / k1;
+  const size_t levels = static_cast<size_t>(
+      std::floor(std::log(ratio) / std::log(1.0 + kThm2Sigma)) + 1);
+  EXPECT_EQ(levels, 102u);
+  EXPECT_EQ(thm2.num_sample_levels(), levels);
   for (size_t k : {size_t{5}, size_t{500}}) {
     auto want = test::BruteTopK<Range1DProblem>(data, {0.3, 0.7}, k);
-    EXPECT_EQ(test::IdsOf(topk::Query(s, {0.3, 0.7}, k)), test::IdsOf(want));
-    EXPECT_EQ(test::IdsOf(topk::Query(d, {0.3, 0.7}, k)), test::IdsOf(want));
+    EXPECT_EQ(test::IdsOf(topk::Query(thm2, {0.3, 0.7}, k)),
+              test::IdsOf(want));
   }
 }
 

@@ -97,7 +97,7 @@ template <typename S>
 void ExpectParallelMatchesSerial(const S& s,
                                  const std::vector<Point1D>& data,
                                  uint64_t seed) {
-  s.AuditInvariants();  // flat source vs the substrate's slots
+  s.AuditInvariants();
   constexpr bool kScansSlots =
       parallel::SlotAddressable<typename S::Prioritized, Point1D>;
   const size_t n = data.size();
@@ -242,16 +242,8 @@ TEST(ServingThreads, CoordinatorRunsShardZeroOnTheCaller) {
 
 // --- FlatScanTopKInto ----------------------------------------------------
 //
-// The kernel scans a substrate's own slots; the PST's are its nodes in
-// build preorder, and its reductions keep their weights (SlotWeights).
-
-std::vector<double> SlotWeights(const PrioritySearchTree& pst) {
-  std::vector<double> weights(pst.size());
-  for (size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = pst.ElementAt(i).weight;
-  }
-  return weights;
-}
+// The kernel scans a substrate's own slots, weights included; the
+// PST's are its nodes in build preorder.
 
 // The x-range of the longest run of x-consecutive points that all sit
 // in one 512-slot block of `pst`. Only whole x-groups are kept, so the
@@ -290,7 +282,6 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
   const std::vector<Point1D> data = test::ClumpedPoints1D(n, &rng);
   const PrioritySearchTree pst(data);
   ASSERT_EQ(pst.size(), n);
-  const std::vector<double> weights = SlotWeights(pst);
   Scratch scratch;
   parallel::Context three(3);
   parallel::Context eight(8);
@@ -314,7 +305,7 @@ TEST(FlatScan, ExactCountAndTopKAtEveryShardCount) {
       for (parallel::Context* par :
            {static_cast<parallel::Context*>(nullptr), &three, &eight}) {
         const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-            pst, weights, q, tau, k, par, &scratch, &got);
+            pst, q, tau, k, par, &scratch, &got);
         EXPECT_EQ(matched, matches.size());
         ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
             << "k=" << k << " tau=" << tau;
@@ -375,7 +366,6 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
     parallel::Context par(shards);
     for (size_t in = 0; in < inputs.size(); ++in) {
       const std::vector<Point1D>& data = inputs[in];
-      const std::vector<double> weights = SlotWeights(psts[in]);
       for (const Cut& cut : cuts) {
         const std::vector<Point1D> matches =
             test::BrutePrioritized<Range1DProblem>(data, cut.q, cut.tau);
@@ -393,7 +383,7 @@ TEST(FlatScan, EverySelectionRegimeAtEveryShardCount) {
           std::vector<Point1D> want = matches;
           if (want.size() > k) want.resize(k);
           const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-              psts[in], weights, cut.q, cut.tau, k, &par, &scratch, &got);
+              psts[in], cut.q, cut.tau, k, &par, &scratch, &got);
           EXPECT_EQ(matched, m);
           ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
               << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo
@@ -418,8 +408,8 @@ TEST(FlatScan, HugeKNeverPrunesAwayMatches) {
                     std::numeric_limits<double>::infinity()};
   const size_t k = (size_t{1} << 62) + 1;
   const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-      pst, SlotWeights(pst), all, -std::numeric_limits<double>::infinity(),
-      k, &three, &scratch, &got);
+      pst, all, -std::numeric_limits<double>::infinity(), k, &three,
+      &scratch, &got);
   EXPECT_EQ(matched, data.size());
   ASSERT_EQ(got.size(), data.size());
   EXPECT_EQ(test::IdsOf(got),
@@ -452,7 +442,6 @@ TEST(FlatScan, PreorderClusteredCutsMatchBruteForce) {
   for (const std::vector<Point1D>& data : inputs) {
     const PrioritySearchTree pst(data);
     ASSERT_EQ(pst.size(), kN);
-    const std::vector<double> weights = SlotWeights(pst);
     for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
                           size_t{8}}) {
       parallel::Context par(shards);
@@ -464,7 +453,7 @@ TEST(FlatScan, PreorderClusteredCutsMatchBruteForce) {
           std::vector<Point1D> want = matches;
           SelectTopK(&want, k);
           const size_t matched = parallel::FlatScanTopKInto<Range1DProblem>(
-              pst, weights, cut.q, cut.tau, k, &par, &scratch, &got);
+              pst, cut.q, cut.tau, k, &par, &scratch, &got);
           EXPECT_EQ(matched, m);
           ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
               << "k=" << k << " shards=" << shards << " q=[" << cut.q.lo

@@ -24,7 +24,6 @@
 #include "common/weighted.h"
 #include "core/core_set.h"
 #include "core/core_set_topk.h"
-#include "parallel/flat_scan.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "test_util.h"
@@ -160,7 +159,6 @@ TEST(Lemma2Step, EveryExitMatchesBruteForce) {
   const PrioritySearchTree pst(data);
   const std::vector<Point1D> small_data(data.begin(), data.begin() + 4 * K);
   const PrioritySearchTree small_pst(small_data);
-  const parallel::FlatSource<PrioritySearchTree, Point1D> flat;
   const Range1D narrow{0.5, 0.52};  // ~80 matches: <= 4K
   const Range1D wide{0.1, 0.9};     // ~3200 matches: > 8K + 1
 
@@ -218,7 +216,7 @@ TEST(Lemma2Step, EveryExitMatchesBruteForce) {
       return pool;
     };
     std::optional<ScratchVec<Point1D>> top = Lemma2Step<Range1DProblem>(
-        *c.pri, flat, kScale, c.q, K, kOut, deeper, &scratch, nullptr,
+        *c.pri, kScale, c.q, K, kOut, deeper, &scratch, nullptr,
         &tracer, nullptr);
     EXPECT_EQ(deeper_called, c.pri->size() > 4 * K);
     EXPECT_EQ(FetchesOf(tracer), c.fetches);
