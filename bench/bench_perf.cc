@@ -6,8 +6,8 @@
 // (fresh result vectors per call) against a warm QueryBatchInto
 // (per-worker arenas + recycled slots); plus the SelectTopK strategy
 // crossover sweep that fixes the k*log2(|pool|) < |pool| boundary in
-// common/kselect.h; plus the price of ordering a Theorem 1 top-f
-// (SelectTopK vs SelectTopKUnordered at the chain's pool shapes); plus
+// common/kselect.h; plus what cutting a Theorem 1 chain level's pool to
+// f costs its pivot read (at the chain's pool shapes); plus
 // the ordering sweep that fixes SortHeaviestFirst's std::sort -> radix
 // crossover (kRadixSortMin), which also hard-checks that both orders
 // are id-identical; plus the thresholded sharded flat scan, whose tau
@@ -339,28 +339,39 @@ std::vector<Point1D> ClumpedPool(size_t m, uint64_t seed) {
   return pool;
 }
 
-// ---- Chain-level selection: what sorting a top-f costs. Theorem 1's
-// TopFChain cuts every level's pool to f — a completed probe of up to
-// 4f + 1 and a pivot fetch of up to 8f — and reads one rank of it, so
-// it selects with SelectTopKUnordered; SelectTopK's extra sort is paid
-// only at the exit. At n = 2^17, f = 1632 is serve-thm1's (the RAM
-// default B = kRamBlockSizeThm1 = 16) and f = 4352 the paper's B = 64.
+// ---- Chain-level selection: what cutting a pool to f costs. A
+// TopFChain level reads one element of the level below's pool: its
+// pivot at rank CoreSetRank(n) (189 at n = 2^17). That pool is a
+// completed probe of up to 4f + 1 or a pivot fetch of up to 8f, handed
+// up uncut, so the reader runs one std::nth_element on it; cutting it to
+// f first (SelectTopKUnordered) is a second O(|pool|) selection. At
+// n = 2^17, f = 1632 is serve-thm1's (the RAM default B =
+// kRamBlockSizeThm1 = 16) and f = 4352 the paper's B = 64. Both paths
+// must read the same pivot: a wrong one fails the run, and with it CI's
+// bench smoke.
 void ChainSelectRow(const std::vector<Point1D>& base,
-                    std::vector<Point1D>* buf, size_t f) {
-  double ordered_ns = 1e300, unordered_ns = 1e300;
+                    std::vector<Point1D>* buf, size_t f, size_t rank) {
+  uint64_t cut_id = 0, uncut_id = 0;
+  auto pivot_id = [rank](std::vector<Point1D>* b) {
+    std::nth_element(b->begin(), b->begin() + static_cast<long>(rank - 1),
+                     b->end(), ByWeightDesc());
+    return (*b)[rank - 1].id;
+  };
+  double cut_ns = 1e300, uncut_ns = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    ordered_ns = std::min(ordered_ns,
-                          TimeSelect(base, buf, [f](std::vector<Point1D>* b) {
-                            SelectTopK(b, f);
-                          }));
-    unordered_ns = std::min(
-        unordered_ns, TimeSelect(base, buf, [f](std::vector<Point1D>* b) {
-          SelectTopKUnordered(b, f);
-        }));
+    cut_ns = std::min(cut_ns,
+                      TimeSelect(base, buf, [&](std::vector<Point1D>* b) {
+                        SelectTopKUnordered(b, f);
+                        cut_id = pivot_id(b);
+                      }));
+    uncut_ns = std::min(uncut_ns,
+                        TimeSelect(base, buf, [&](std::vector<Point1D>* b) {
+                          uncut_id = pivot_id(b);
+                        }));
   }
+  TOPK_CHECK_EQ(cut_id, uncut_id);
   std::printf("%8zu %8zu %12.1f %12.1f %12.1f\n", base.size(), f,
-              ordered_ns / 1e3, unordered_ns / 1e3,
-              (ordered_ns - unordered_ns) / 1e3);
+              cut_ns / 1e3, uncut_ns / 1e3, (cut_ns - uncut_ns) / 1e3);
 }
 
 // ---- Thresholded sharded flat scan: parallel::FlatScanTopKInto over a
@@ -454,18 +465,22 @@ void Run() {
       CrossoverRow(base, &buf, k);
     }
   }
+  const size_t pivot_rank =
+      CoreSetRank(size_t{1} << 17, Range1DProblem::kLambda, 1.0);
   std::printf(
-      "\nChain-level selection at n = 2^17: f = 1632 (serve-thm1, RAM\n"
-      "B = 16) and f = 4352 (B = 64). SelectTopK (ordered) vs\n"
-      "SelectTopKUnordered, pool m cut to f\n");
-  std::printf("%8s %8s %12s %12s %12s\n", "m", "f", "ordered us",
-              "unord us", "saved us");
+      "\nChain-level pivot read at n = 2^17: rank %zu of a pool of m;\n"
+      "f = 1632 (serve-thm1, RAM B = 16) and f = 4352 (B = 64). Cut to f\n"
+      "then nth_element vs nth_element on the uncut pool, same pivot\n"
+      "id checked\n",
+      pivot_rank);
+  std::printf("%8s %8s %12s %12s %12s\n", "m", "f", "cut us", "uncut us",
+              "saved us");
   for (const size_t f : {size_t{1632}, size_t{4352}}) {
     for (const size_t m : {4 * f + 1, 8 * f}) {
       const std::vector<Point1D> base = bench::Points1D(m, 73);
       std::vector<Point1D> buf;
       buf.reserve(m);
-      ChainSelectRow(base, &buf, f);
+      ChainSelectRow(base, &buf, f, pivot_rank);
     }
   }
   std::printf(

@@ -3,13 +3,13 @@
 // The paper's reductions repeatedly finish with "k-selection": given an
 // unordered candidate pool that is guaranteed to contain the k heaviest
 // qualifying elements, extract them in O(|pool|) time (O(|pool|/B) I/Os in
-// EM). Internal candidate pools — every borrowed fetch pool, TopFChain's
-// per-level top-f — keep the paper-exact unordered semantics of
-// SelectTopKUnordered and read a single rank with std::nth_element.
+// EM). A borrowed fetch pool is an unordered heaviest prefix, handed up
+// TopFChain's levels uncut and selected from once: by a chain level's
+// std::nth_element at one rank, or by Theorem 1's exit SelectTopK.
 //
 // SelectTopK additionally orders the k survivors heaviest first. It runs
 // only at the public exit: a reduction's fetch into the caller's result
-// vector (core/sink.h FetchTopKInto), Theorem 1's k-prefix of its top-f
+// vector (core/sink.h FetchTopKInto), Theorem 1's k heaviest of its pool
 // (core/core_set_topk.h), the scan, the coordinator's merge, and each
 // flat-scan shard's local run (parallel/flat_scan.h). At export-size k
 // (Theorem 2's terminal scan at k ~ n/2) that ordering IS the request, so
@@ -56,8 +56,10 @@ namespace topk {
 
 // Truncates `pool` to its min(k, |pool|) heaviest elements, unordered.
 // Linear time (std::nth_element) — the paper-exact selection primitive.
+// Out of line, so its hot callers (a flat-scan shard's job, SelectTopK)
+// compile alike in every TU whatever else it selects (E24 addendum).
 template <typename E>
-void SelectTopKUnordered(std::vector<E>* pool, size_t k) {
+[[gnu::noinline]] void SelectTopKUnordered(std::vector<E>* pool, size_t k) {
   if (pool->size() > k) {
     std::nth_element(pool->begin(), pool->begin() + k, pool->end(),
                      ByWeightDesc());

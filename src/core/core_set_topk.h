@@ -184,8 +184,8 @@ class CoreSetTopK {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
       return;
     }
-    // The one sort: the chain's top-f and the ladder's pool are
-    // unordered; order only the min(k, |top|) that leave.
+    // The one selection and sort: `top` is an unordered heaviest prefix
+    // of q(D), at least min(k, |q(D)|) long; order only the k that leave.
     SelectTopK(&top->vec(), k, scratch);
     out->assign(top->begin(), top->end());
   }

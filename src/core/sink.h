@@ -149,14 +149,14 @@ struct FetchVerdict {
 
 // The one monitored top-k fetch (Section 3.2; Theorem 2's round steps 1
 // and 3): a cost-monitored prioritized query on `pri`, then k-selection.
-// When the budget was not hit and matched >= min_matched, *out holds the
-// min(k, matched) heaviest tau-qualifying matches of q; otherwise *out
-// is empty (min_matched spares a caller that rejects a too-small fetch
-// the selection it would discard). Order is promised only into a
-// caller's std::vector, which receives them heaviest first; a borrowed
-// ScratchVec pool is an internal candidate set and holds them unordered
-// (linear selection, no sort), so a reader of one rank runs
-// std::nth_element first and the public exit sorts once.
+// When the budget was not hit and matched >= min_matched, a caller's
+// std::vector receives the min(k, matched) heaviest tau-qualifying
+// matches of q, heaviest first; otherwise *out is empty (min_matched
+// spares a caller that rejects a too-small fetch the selection it would
+// discard). A borrowed ScratchVec pool is an internal candidate set that
+// its reader selects from once: it holds a heaviest prefix of the
+// matches, unordered, at least min(k, matched) long — every match on
+// the serial path, the min(k, matched) heaviest on the sharded one.
 //
 // The shard-or-serial decision lives here. A degenerate fetch (budget >
 // n: the budget is unreachable) over a substrate with stable slots
@@ -164,10 +164,10 @@ struct FetchVerdict {
 // pri's own slots when `par` has more than one shard and n >=
 // kMinShardedN, merging straight into *out; its exact match count
 // reproduces every decision the serial query feeds. Every other fetch
-// is the serial MonitoredQuery body plus k-selection (SelectTopK into a
-// caller's vector, SelectTopKUnordered into a borrowed pool), and a
-// substrate without stable slots always takes it: no caller shards
-// one, and an EM substrate's I/O must flow through its buffer pool.
+// is the serial MonitoredQuery body, plus SelectTopK into a caller's
+// vector, and a substrate without stable slots always takes it: no
+// caller shards one, and an EM substrate's I/O must flow through its
+// buffer pool.
 // Both charge one prioritized query and every match emitted (budget >
 // n: never cut off); the sharded path charges its n scanned slots as
 // nodes (the ScanTopK convention), once, post-merge, under one
@@ -205,8 +205,8 @@ FetchVerdict FetchTopKInto(const Pri& pri,
     }
   }
 
-  // Serial: the monitored query into `pool`, then k-selection — ordered
-  // only when the survivors leave for a caller's vector.
+  // Serial: the monitored query into `pool`, then k-selection only when
+  // the survivors leave for a caller's vector.
   constexpr bool kBorrowed = std::is_same_v<Out, ScratchVec<E>>;
   auto monitored = [&](std::vector<E>* pool) {
     const bool hit = sink_internal::MonitoredFill(pri, q, tau, budget, pool,
@@ -214,9 +214,7 @@ FetchVerdict FetchTopKInto(const Pri& pri,
     const FetchVerdict verdict{pool->size(), hit};
     if (hit || verdict.matched < min_matched) {
       pool->clear();
-    } else if constexpr (kBorrowed) {
-      SelectTopKUnordered(pool, k);
-    } else {
+    } else if constexpr (!kBorrowed) {
       SelectTopK(pool, k, scratch);
     }
     return verdict;

@@ -11,10 +11,10 @@
 // deeper set is level j + 1, reached recursively before level j fetches
 // anything: the walk is bottom-up. The bottom level answers with one
 // complete fetch, and each level above reads its pivot from the level
-// below and fetches once. Every level's top-f is an unordered set: a
-// level reads one rank (std::nth_element), never a sorted run, so the
-// chain sorts nothing; the enclosing CoreSetTopK orders only the k it
-// returns. An unlucky sample surfaces as nullopt and the caller
+// below and fetches once. A level hands its fetched pool up uncut (an
+// unordered heaviest prefix of its matches, >= f long or all of them);
+// its reader, the parent's pivot read or CoreSetTopK's exit, selects
+// once. An unlucky sample surfaces as nullopt and the caller
 // (CoreSetTopK) falls back to the binary-search reduction.
 
 #ifndef TOPK_CORE_TOP_F_H_
@@ -47,25 +47,25 @@ namespace topk {
 // ladder at rung i (K = 2^i f, k_out = k, deeper set = core-set R[i]'s
 // chain). The step asks the deeper set first and probes only as
 // a fallback:
-//   * when |X| > 4K, `deeper_top_f()` is the top-f of q(R) for a
-//     core-set R of X with parameter K, or nullopt when there is none
-//     or it failed. If it holds at least CoreSetRank(|X|) elements, its
-//     element e of that weight rank (Lemma 2: weight rank [K, 4K]
-//     within q(X) w.h.p.) is the pivot: the step fetches {w >= w(e)}
-//     with budget 8K + 1 (2x slack), fails (nullopt) on a budget hit
-//     (rank too deep), and answers by k-selection when >= k_out match;
+//   * when |X| > 4K, `deeper_top_f()` is a heaviest prefix of q(R), at
+//     least min(f, |q(R)|) long, for a core-set R of X with parameter
+//     K, or nullopt when there is none or it failed. If it holds at
+//     least CoreSetRank(|X|) elements, its element e of that weight
+//     rank (Lemma 2: weight rank [K, 4K] within q(X) w.h.p.) is the
+//     pivot: the step fetches {w >= w(e)} with budget 8K + 1 (2x
+//     slack), fails (nullopt) on a budget hit (rank too deep), and
+//     answers with that fetch when >= k_out match;
 //   * otherwise (|X| <= 4K, no pivot, or fewer than k_out matches reach
 //     it) the step probes with tau = -inf and budget 4K + 1. A complete
-//     probe means |q(X)| <= 4K and k-selection to k_out finishes; a
-//     budget hit fails.
+//     probe means |q(X)| <= 4K and answers; a budget hit fails.
 // So a chain's bottom level (<= 4f elements) answers with one complete
 // fetch and every level above it with one pivot fetch; no pool is
 // fetched only to be thrown away. The price is one descent per level
 // for ranges too small to expose a pivot, where a probe alone would do.
-// Returns the min(k_out, |q(X)|) heaviest of q(X), unordered, in a pool
-// borrowed from `scratch`. The deeper top-f goes back to the arena
-// before the step borrows its own pool, so no pool is held across
-// deeper_top_f()'s recursion.
+// Returns its complete fetch from `scratch`: an unordered heaviest
+// prefix of q(X), min(k_out, |q(X)|) to 8K (pivot) or 4K (probe) long.
+// The deeper top-f goes back to the arena before the step borrows its
+// own pool, so no pool is held across deeper_top_f()'s recursion.
 template <typename Problem, typename Pri, typename DeeperTopF,
           typename E = typename Problem::Element>
 std::optional<ScratchVec<E>> Lemma2Step(
@@ -161,11 +161,11 @@ class TopFChain {
     }
   }
 
-  // Top-min(f, |q(S)|) elements of q(S), unordered, in a pool borrowed
-  // from `scratch`; nullopt when an unlucky core-set defeated the
-  // algorithm (caller must fall back). The whole recursion works
-  // out of the arena: the steady state borrows one buffer at a time, so
-  // a warm arena serves any chain depth with zero allocations.
+  // An unordered heaviest prefix of q(S), at least min(f, |q(S)|) long,
+  // borrowed from `scratch`; nullopt when an unlucky core-set defeated
+  // the algorithm (caller must fall back). The whole recursion works out
+  // of the arena: the steady state borrows one buffer at a time, so a
+  // warm arena serves any chain depth with zero allocations.
   std::optional<ScratchVec<Element>> QueryTopF(
       const Predicate& q, Scratch* scratch, QueryStats* stats,
       trace::Tracer* tracer = nullptr,

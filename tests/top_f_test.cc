@@ -1,10 +1,13 @@
 // TopFChain internals (Section 3.2's nested core-set structure) tested
 // directly: level shrinkage, the k <= f contract against brute force,
-// and failure signalling on truncated chains. QueryTopF promises its
-// top-f as a set, not an order, so results are compared as id sets plus
-// the one rank a chain level reads. Lemma2Step is driven exit by exit
-// with hand-made deeper pools, and the bottom-up walk is pinned to
-// fetch no pool it then throws away.
+// and failure signalling on truncated chains. QueryTopF and Lemma2Step
+// promise the fetched pool uncut: an unordered heaviest prefix of the
+// matches, at least min(k_out, |q(X)|) and at most the answering fetch's
+// budget long. Results are compared as id sets against brute force's
+// prefix of that length, plus the one rank a chain level reads.
+// Lemma2Step is driven exit by exit with hand-made deeper pools, the
+// bottom-up walk is pinned to fetch no pool it then throws away, and
+// tie-heavy weights run through a multi-level chain and ladder.
 
 #include "core/top_f.h"
 
@@ -39,17 +42,54 @@ using range1d::Range1DProblem;
 
 using Chain = TopFChain<Range1DProblem, PrioritySearchTree>;
 
-// `top` holds exactly the ids of `want` (brute force's top-f, heaviest
-// first), and the pivot a chain level reads — std::nth_element at rank
-// CoreSetRank(n) — is brute force's element of that rank.
-void ExpectTopF(ScratchVec<Point1D>* top, const std::vector<Point1D>& want,
-                size_t n) {
-  EXPECT_EQ(test::SortedIdsOf(top->vec()), test::SortedIdsOf(want));
+// One monitored fetch as its span recorded it.
+struct Fetch {
+  uint64_t budget;
+  bool hit;
+  bool operator==(const Fetch&) const = default;
+};
+
+std::vector<Fetch> FetchesOf(const trace::Tracer& tracer) {
+  std::vector<Fetch> out;
+  for (const trace::Tracer::Event& e : tracer.events()) {
+    if (std::strcmp(e.name, "monitored_query") == 0) {
+      out.push_back({test::ArgOr0(e, "budget"),
+                     test::ArgOr0(e, "hit_budget") != 0});
+    }
+  }
+  return out;
+}
+
+// The chain contract on an answer `top`, against `all` (brute force's
+// q(X), heaviest first): `top` holds exactly the ids of all's heaviest
+// |top|, and min(k_out, |q(X)|) <= |top| <= `bound` — the answering
+// fetch's budget less one, 8K on a pivot exit and 4K on a probe exit.
+void ExpectHeaviestPrefix(const ScratchVec<Point1D>& top,
+                          const std::vector<Point1D>& all, size_t k_out,
+                          uint64_t bound) {
+  ASSERT_LE(top.size(), all.size());
+  const std::vector<Point1D> prefix(all.begin(), all.begin() + top.size());
+  EXPECT_EQ(test::SortedIdsOf(top.vec()), test::SortedIdsOf(prefix));
+  EXPECT_GE(top.size(), std::min(k_out, all.size()));
+  EXPECT_LE(top.size(), bound);
+}
+
+// A chain's top-f, queried with `tracer` recording: the contract above
+// with k_out = f and the bound of level 0's answering fetch (the walk is
+// bottom-up, so it is the last one), and the pivot a chain level reads —
+// std::nth_element at rank CoreSetRank(n) — is brute force's element of
+// that rank.
+void ExpectTopF(ScratchVec<Point1D>* top, const std::vector<Point1D>& all,
+                size_t f, const trace::Tracer& tracer, size_t n) {
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const std::vector<Fetch> fetches = FetchesOf(tracer);
+  ASSERT_FALSE(fetches.empty());
+  ExpectHeaviestPrefix(*top, all, f, fetches.back().budget - 1);
   const size_t rank = CoreSetRank(n, Range1DProblem::kLambda, 1.0);
-  if (top->size() < rank || want.size() < rank) return;
+  if (top->size() < rank) return;
   std::nth_element(top->begin(), top->begin() + (rank - 1), top->end(),
                    ByWeightDesc());
-  EXPECT_EQ((*top)[rank - 1].id, want[rank - 1].id);
+  EXPECT_EQ((*top)[rank - 1].id, all[rank - 1].id);
 }
 
 TEST(TopFChain, SingleLevelWhenSmall) {
@@ -58,10 +98,11 @@ TEST(TopFChain, SingleLevelWhenSmall) {
   Chain chain(data, /*f=*/50, /*constant_scale=*/1.0, &rng);
   EXPECT_EQ(chain.num_levels(), 1u);  // 100 <= 4 * 50
   Scratch scratch;
-  auto top = chain.QueryTopF({0.0, 1.0}, &scratch, nullptr);
+  trace::Tracer tracer(64);
+  auto top = chain.QueryTopF({0.0, 1.0}, &scratch, nullptr, &tracer);
   ASSERT_TRUE(top.has_value());
-  auto want = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, 50);
-  ExpectTopF(&*top, want, data.size());
+  auto all = test::BruteTopK<Range1DProblem>(data, {0.0, 1.0}, data.size());
+  ExpectTopF(&*top, all, 50, tracer, data.size());
 }
 
 TEST(TopFChain, LevelsShrinkGeometrically) {
@@ -82,17 +123,19 @@ TEST(TopFChain, TopFMatchesBruteAcrossLevelsAndRanges) {
   const size_t f = 300;
   Chain chain(data, f, 1.0, &rng);
   Scratch scratch;
+  trace::Tracer tracer(256);
   int failures = 0;
   for (int trial = 0; trial < 30; ++trial) {
     double a = rng.NextDouble(), b = rng.NextDouble();
     if (a > b) std::swap(a, b);
-    auto top = chain.QueryTopF({a, b}, &scratch, nullptr);
+    tracer.Clear();
+    auto top = chain.QueryTopF({a, b}, &scratch, nullptr, &tracer);
     if (!top.has_value()) {
       ++failures;  // allowed (unlucky core-set) but must be rare
       continue;
     }
-    auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, f);
-    ExpectTopF(&*top, want, data.size());
+    auto all = test::BruteTopK<Range1DProblem>(data, {a, b}, data.size());
+    ExpectTopF(&*top, all, f, tracer, data.size());
   }
   EXPECT_LE(failures, 2);
 }
@@ -118,24 +161,6 @@ TEST(TopFChain, StatsChargedPerLevel) {
 }
 
 // --- Lemma2Step, exit by exit ---------------------------------------------
-
-// One monitored fetch as its span recorded it.
-struct Fetch {
-  uint64_t budget;
-  bool hit;
-  bool operator==(const Fetch&) const = default;
-};
-
-std::vector<Fetch> FetchesOf(const trace::Tracer& tracer) {
-  std::vector<Fetch> out;
-  for (const trace::Tracer::Event& e : tracer.events()) {
-    if (std::strcmp(e.name, "monitored_query") == 0) {
-      out.push_back({test::ArgOr0(e, "budget"),
-                     test::ArgOr0(e, "hit_budget") != 0});
-    }
-  }
-  return out;
-}
 
 // Lemma2Step on n = 4000 points with K = 50, k_out = 40 and
 // constant_scale = 0.1 (pivot rank 14). Each case hands the step a
@@ -224,9 +249,7 @@ TEST(Lemma2Step, EveryExitMatchesBruteForce) {
     // No pool outlives the step except its answer.
     EXPECT_EQ(scratch.outstanding(), c.answers ? 1u : 0u);
     if (top.has_value()) {
-      const std::vector<Point1D> want(
-          sorted.begin(), sorted.begin() + std::min(kOut, sorted.size()));
-      EXPECT_EQ(test::SortedIdsOf(top->vec()), test::SortedIdsOf(want));
+      ExpectHeaviestPrefix(*top, sorted, kOut, c.fetches.back().budget - 1);
     }
   }
 }
@@ -286,6 +309,52 @@ TEST(Lemma2Step, WideRangesFetchNoDiscardedProbe) {
       // Every chain level, or the rung plus its chain's levels.
       EXPECT_GE(steps, k <= f ? s.num_chain_levels() : size_t{2});
     }
+  }
+}
+
+// A pool is cut only by its fetch's tau, so a level's answer can end
+// inside a run of equal weights: the pivot fetch {w >= w(e)} keeps every
+// tie of the pivot's weight, and the level above reads its pivot from
+// that pool. At n = 2^15 and B = 4 (f = 720: >= 2 chain levels, and rungs
+// up to K = 8f) with the paper's constants, over clumped coordinates and
+// weights, and over uniform points with only 8 distinct weights, every
+// k in {1, 16, f, 3000} returns brute force's ordered top-k, and no
+// query falls back: the chain and the ladder answer every one.
+TEST(Lemma2Step, TieHeavyPoolsAcrossChainLevels) {
+  using S = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
+  const size_t n = size_t{1} << 15;
+  Rng rng(11);
+  std::vector<Point1D> few_weights = test::RandomPoints1D(n, &rng);
+  for (Point1D& p : few_weights) p.weight = static_cast<double>(rng.Below(8));
+  const double x_max = static_cast<double>(n / 4);  // clumped x range
+  struct Input {
+    const char* name;
+    std::vector<Point1D> data;
+    double scale;  // of the x domain: ranges are fractions of it
+  };
+  const Input inputs[] = {{"clumped", test::ClumpedPoints1D(n, &rng), x_max},
+                          {"8 weights", few_weights, 1.0}};
+  for (const Input& input : inputs) {
+    const S s(input.data, {.block_size = 4});
+    const size_t f = s.f();
+    ASSERT_EQ(f, 720u);
+    ASSERT_GE(s.num_chain_levels(), 2u);
+    ASSERT_GE(s.num_large_k_core_sets(), 3u);  // k = 3000 reads rung K = 8f
+    Scratch scratch;
+    std::vector<Point1D> got;
+    QueryStats stats;
+    for (const auto& [lo, hi] : {std::pair{0.0, 1.0}, std::pair{0.1, 0.9},
+                                 std::pair{0.2, 0.5}}) {
+      const Range1D q{lo * input.scale, hi * input.scale};
+      for (const size_t k : {size_t{1}, size_t{16}, f, size_t{3000}}) {
+        SCOPED_TRACE(::testing::Message() << input.name << " q=[" << q.lo
+                                          << "," << q.hi << "] k=" << k);
+        s.QueryInto(q, k, &scratch, &got, &stats, nullptr, nullptr);
+        EXPECT_EQ(test::IdsOf(got), test::IdsOf(test::BruteTopK<
+                                        Range1DProblem>(input.data, q, k)));
+      }
+    }
+    EXPECT_EQ(stats.fallbacks, 0u) << input.name;  // the chain answered
   }
 }
 
