@@ -1,8 +1,12 @@
 // E13 — Theorem 2's round protocol: the number of rounds a query
 // executes is O(1) in expectation with a geometric tail (each round
 // fails with probability <= 0.91 by Lemma 3; empirically far less).
+// Second table: how much a query's work depends on the structure seed
+// (every query shares one set of samples).
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -59,10 +63,46 @@ void Run() {
       "the query bypassed the ladder (k >= n/4 scans).\n");
 }
 
+// Emitted and rounds per query over 32 structure seeds: one dataset and
+// one set of 1000 uniform ranges, rebuilt per seed (untimed counts).
+void SeedSpread(size_t log_n, size_t k) {
+  using Thm2 = SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>;
+  const auto data = bench::Points1D(size_t{1} << log_n, 22);
+  const auto ranges = bench::UniformRanges1D(1000, 23);
+  const double queries = static_cast<double>(ranges.size());
+  std::vector<double> emitted, rounds;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    const Thm2 s(data, {.seed = seed});
+    QueryStats stats;
+    for (const auto& q : ranges) topk::Query(s, q, k, &stats);
+    emitted.push_back(static_cast<double>(stats.elements_emitted) / queries);
+    rounds.push_back(static_cast<double>(stats.rounds) / queries);
+  }
+  for (auto [name, xs] : {std::pair{"emitted/q", &emitted},
+                          std::pair{"rounds/q", &rounds}}) {
+    std::vector<double>& v = *xs;
+    std::sort(v.begin(), v.end());
+    double mean = 0.0;
+    for (double x : v) mean += x / static_cast<double>(v.size());
+    // q1 and q3 are the 9th and 25th of the 32 sorted values.
+    std::printf("2^%-4zu %6zu %10s %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f "
+                "%6.2f\n",
+                log_n, k, name, mean, (v[15] + v[16]) / 2.0, v[8], v[24],
+                v.front(), v.back(), v.back() / v.front());
+  }
+}
+
 }  // namespace
 }  // namespace topk
 
 int main() {
   topk::Run();
+  std::printf(
+      "\nE13b: structure-seed spread (32 seeds, 1000 uniform ranges)\n"
+      "%-6s %6s %10s %9s %9s %9s %9s %9s %9s %6s\n",
+      "n", "k", "metric", "mean", "median", "q1", "q3", "min", "max",
+      "max/min");
+  topk::SeedSpread(15, 64);
+  topk::SeedSpread(14, 16);
   return 0;
 }

@@ -12,6 +12,9 @@
 //     matching element — checked against a mirror copy of the data;
 //   * QueryStats counters are monotone.
 //
+// It also aborts on a duplicate id, at construction and on every Insert
+// (the library-wide precondition of common/weighted.h).
+//
 // All verification state is per-call, so the wrapper is exactly as
 // thread-shareable as S (the substrate alias lets serve/shareable.h
 // recurse into S's markers).
@@ -21,7 +24,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -42,7 +47,10 @@ class CheckedMax {
   using MaxSubstrate = S;
 
   explicit CheckedMax(std::vector<Element> data)
-      : mirror_(data), inner_(std::move(data)) {}
+      : mirror_(data), inner_(std::move(data)) {
+    std::unordered_set<uint64_t> ids;
+    for (const Element& e : mirror_) TOPK_CHECK(ids.insert(e.id).second);
+  }
 
   size_t size() const { return inner_.size(); }
 
@@ -80,6 +88,9 @@ class CheckedMax {
   void Insert(const Element& e)
     requires DynamicStructure<S, Problem>
   {
+    TOPK_CHECK(std::none_of(
+        mirror_.begin(), mirror_.end(),
+        [&e](const Element& m) { return m.id == e.id; }));  // live id
     mirror_.push_back(e);
     inner_.Insert(e);
   }

@@ -21,6 +21,9 @@
 //     shape with caller-chosen constants, off by default because the
 //     right constants are structure-specific.
 //
+// It also aborts on a duplicate id, at construction and on every Insert
+// (the library-wide precondition of common/weighted.h).
+//
 // The wrapper holds no mutable query state (all verification state is
 // per-call), so it is exactly as thread-shareable as S; the substrate
 // alias below lets serve/shareable.h recurse into S's own markers.
@@ -54,7 +57,10 @@ class CheckedPrioritized {
   using Prioritized = S;
 
   explicit CheckedPrioritized(std::vector<Element> data)
-      : mirror_(data), inner_(std::move(data)) {}
+      : mirror_(data), inner_(std::move(data)) {
+    std::unordered_set<uint64_t> ids;
+    for (const Element& e : mirror_) TOPK_CHECK(ids.insert(e.id).second);
+  }
 
   size_t size() const { return inner_.size(); }
 
@@ -147,6 +153,9 @@ class CheckedPrioritized {
   void Insert(const Element& e)
     requires DynamicStructure<S, Problem>
   {
+    TOPK_CHECK(std::none_of(
+        mirror_.begin(), mirror_.end(),
+        [&e](const Element& m) { return m.id == e.id; }));  // live id
     mirror_.push_back(e);
     inner_.Insert(e);
   }

@@ -12,6 +12,20 @@
 
 namespace topk {
 
+// SplitMix64's increment: 2^64 / phi, odd, so stepping by it visits
+// every 64-bit value once.
+inline constexpr uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+// SplitMix64's output finalizer (Steele, Lea & Flood): a bijection on
+// 64-bit values whose every output bit depends on every input bit. Pure
+// arithmetic, so callers hash ids into placements (federate::ShardOf)
+// or Bernoulli draws (SampledTopK's sample levels) with no state.
+inline uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 // xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 // implementation), seeded via SplitMix64 as the authors recommend.
 class Rng {
@@ -20,7 +34,7 @@ class Rng {
 
   void Seed(uint64_t seed) {
     uint64_t x = seed;
-    for (int i = 0; i < 4; ++i) s_[i] = SplitMix64(&x);
+    for (int i = 0; i < 4; ++i) s_[i] = Mix64(x += kGoldenGamma);
   }
 
   // Uniform over all 64-bit values.
@@ -53,13 +67,6 @@ class Rng {
   bool Bernoulli(double p) { return NextDouble() < p; }
 
  private:
-  static uint64_t SplitMix64(uint64_t* x) {
-    uint64_t z = (*x += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

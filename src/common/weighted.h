@@ -9,6 +9,18 @@
 // A problem's Element type must expose two public fields:
 //   double   weight;
 //   uint64_t id;
+//
+// Precondition, library-wide: ids are unique among the live elements of
+// a structure — every build input, and every Insert of an id not already
+// live. Ids are element identity: the total order, Erase-by-id and
+// federation's shard placement all assume it. Structures do not pay to
+// check it on their own paths. It is checked where ids enter:
+//   * em::DurableStore aborts on Insert of a live id, on Erase of a dead
+//     one, and on a duplicate id in a recovered checkpoint — the doors
+//     for outside ids in every build;
+//   * under -DTOPK_AUDIT=ON, audit::CheckedPrioritized and
+//     audit::CheckedMax abort on a duplicate id at construction and on
+//     Insert, against the mirror they already keep.
 
 #ifndef TOPK_COMMON_WEIGHTED_H_
 #define TOPK_COMMON_WEIGHTED_H_

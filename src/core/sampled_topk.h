@@ -22,20 +22,25 @@
 // (validated by experiment E13). The protocol is deterministic-correct —
 // no fallback is ever needed.
 //
+// Sampling: e lands in R_i iff a hash of (e.id, salt, i) falls below
+// 2^64 / K_i (ForEachLevelOf), so membership is a pure function of the
+// id, recomputed wherever it is needed and stored nowhere. Each (re)build
+// draws a fresh salt, so it redraws every sample.
+//
 // Updates: an element appears in O(1) sampled sets in expectation, so
-// Insert/Erase forward to the prioritized structure plus the (hash-
-// recorded) max structures containing the element, at expected cost
+// Insert/Erase forward to the prioritized structure plus the max
+// structures whose level test selects the element, at expected cost
 // O(U_pri + U_max). Available when both structures are dynamic.
 
 #ifndef TOPK_CORE_SAMPLED_TOPK_H_
 #define TOPK_CORE_SAMPLED_TOPK_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -74,16 +79,6 @@ class SampledTopK {
   static constexpr uint64_t kRoundEmptySample = 2;    // q(R_j) was empty
   static constexpr uint64_t kRoundMiss = 3;           // advance to j + 1
 
-  // Membership bookkeeping (id -> sampled levels) is only needed to
-  // support Erase; skip it entirely for static instantiations.
-  static constexpr bool kDynamic =
-      requires(Pri& p, Max& m, const Element& e) {
-        p.Insert(e);
-        p.Erase(e);
-        m.Insert(e);
-        m.Erase(e);
-      };
-
   explicit SampledTopK(std::vector<Element> data,
                        const ReductionOptions& options = {},
                        PriFactory pri_factory = {},
@@ -103,15 +98,11 @@ class SampledTopK {
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Theorem 2
   // composition invariants — the K_i ladder exactly matches the
   // K_i = B * Q_max * (1+sigma)^{i-1}, K_i <= n/4 schedule frozen at the
-  // last (re)build, sample sets are genuine subsets, and (dynamic
-  // instantiations) the membership index and the level max structures
-  // describe each other exactly: one entry per live element, per-level
-  // reference counts equal to the level sizes, and — under TOPK_AUDIT,
-  // where Max supports enumeration — no stale element in any level's
-  // max structure without a matching membership record (the converse
-  // direction; a clobbered membership entry is invisible to the
-  // forward checks alone); static instantiations keep no membership
-  // at all. Aborts via TOPK_CHECK on violation.
+  // last (re)build, with one level test per level, and — under
+  // TOPK_AUDIT, where both structures enumerate — each level's max
+  // structure holds exactly the live elements its test selects: no
+  // stale element left by an Erase, none missed by an Insert. Aborts via
+  // TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(pri_.has_value());
     TOPK_CHECK_EQ(pri_->size(), n_);
@@ -126,46 +117,28 @@ class SampledTopK {
       ++expected_levels;
     }
     TOPK_CHECK_EQ(levels_.size(), expected_levels);
-    if constexpr (kDynamic) {
-      // Every live element has exactly one membership entry (possibly
-      // pointing at zero levels), and summing the entries level-wise
-      // must reproduce each level's size — a stale element (or a lost
-      // membership record) breaks the balance.
-      TOPK_CHECK_EQ(membership_.size(), n_);
-      std::vector<size_t> refs(levels_.size(), 0);
-      for (const auto& [id, where] : membership_) {
-        for (uint32_t j : where) {
-          TOPK_CHECK_LT(j, levels_.size());
-          ++refs[j];
-        }
-      }
-      for (size_t j = 0; j < levels_.size(); ++j) {
-        TOPK_CHECK_EQ(refs[j], levels_[j].max.size());
-      }
+    TOPK_CHECK_EQ(cutoffs_.size(), expected_levels);
 #ifdef TOPK_AUDIT
-      // Converse sweep (O(n) — audit builds only): each element a level
-      // actually stores is recorded in membership_ for that level,
-      // exactly once.
-      if constexpr (requires(const Max& m) {
-                      m.ForEach([](const Element&) {});
-                    }) {
-        for (uint32_t j = 0; j < static_cast<uint32_t>(levels_.size());
-             ++j) {
-          levels_[j].max.ForEach([this, j](const Element& e) {
-            const auto it = membership_.find(e.id);
-            TOPK_CHECK(it != membership_.end());
-            size_t hits = 0;
-            for (uint32_t w : it->second) {
-              if (w == j) ++hits;
-            }
-            TOPK_CHECK_EQ(hits, size_t{1});
-          });
-        }
+    // O(n h log n) — audit builds only: derive each level's id set from
+    // the live elements and compare it with what the level stores.
+    if constexpr (requires(const Pri& p, const Max& m) {
+                    p.ForEach([](const Element&) {});
+                    m.ForEach([](const Element&) {});
+                  }) {
+      std::vector<std::vector<uint64_t>> want(levels_.size());
+      pri_->ForEach([&](const Element& e) {
+        ForEachLevelOf(e.id, [&](size_t j) { want[j].push_back(e.id); });
+      });
+      for (size_t j = 0; j < levels_.size(); ++j) {
+        std::vector<uint64_t> held;
+        levels_[j].max.ForEach(
+            [&held](const Element& e) { held.push_back(e.id); });
+        std::sort(held.begin(), held.end());
+        std::sort(want[j].begin(), want[j].end());
+        TOPK_CHECK(held == want[j]);
       }
-#endif  // TOPK_AUDIT
-    } else {
-      TOPK_CHECK(membership_.empty());
     }
+#endif  // TOPK_AUDIT
   }
 
   // The k heaviest elements of q(D), heaviest first, into *out (cleared
@@ -249,48 +222,30 @@ class SampledTopK {
 
   // --- Dynamic interface (requires dynamic Pri and Max) -----------------
 
+  // `e.id` must not be live (common/weighted.h). Erase finds e's levels
+  // by the same test, so an erased element leaves no level behind.
   void Insert(const Element& e)
     requires requires(Pri& p, Max& m) {
       p.Insert(e);
       m.Insert(e);
     }
   {
-    if constexpr (kDynamic) {
-      // Register the element in the membership index BEFORE sampling,
-      // and reject a live duplicate: overwriting the existing entry
-      // would orphan its level list, leaving stale (possibly heavier)
-      // elements in those levels' max structures after Erase —
-      // permanent round misses. Ids are element identity (the
-      // (weight, id) total order and Erase-by-id both depend on it), so
-      // re-inserting a live id is a programmer error.
-      const bool inserted = membership_.try_emplace(e.id).second;
-      TOPK_CHECK(inserted);
-    }
     pri_->Insert(e);
     ++n_;
-    for (uint32_t j = 0; j < static_cast<uint32_t>(levels_.size()); ++j) {
-      if (rng_.Bernoulli(1.0 / levels_[j].K)) {
-        levels_[j].max.Insert(e);
-        if constexpr (kDynamic) membership_[e.id].push_back(j);
-      }
-    }
+    ForEachLevelOf(e.id, [&](size_t j) { levels_[j].max.Insert(e); });
     MaybeRebuild();
   }
 
-  // Constrained on kDynamic (not just the Erase signatures): membership
-  // is recorded only for dynamic instantiations, so an Erase-only
-  // substrate pair would compile yet silently never remove elements
-  // from the sample levels. The mismatch fails here, at the constraint.
   void Erase(const Element& e)
-    requires(kDynamic)
+    requires requires(Pri& p, Max& m) {
+      p.Erase(e);
+      m.Erase(e);
+    }
   {
     pri_->Erase(e);
     TOPK_CHECK(n_ > 0);
     --n_;
-    const auto it = membership_.find(e.id);
-    TOPK_CHECK(it != membership_.end());  // every live element has one
-    for (uint32_t j : it->second) levels_[j].max.Erase(e);
-    membership_.erase(it);
+    ForEachLevelOf(e.id, [&](size_t j) { levels_[j].max.Erase(e); });
     MaybeRebuild();
   }
 
@@ -304,43 +259,43 @@ class SampledTopK {
     n_ = data.size();
     built_n_ = n_;
     levels_.clear();
-    membership_.clear();
+    cutoffs_.clear();
+    salt_ = rng_.Next();
 
     const size_t b = options_.block_size.value_or(kRamBlockSizeThm2);
     const double q_max = std::max(1.0, Max::QueryCostBound(n_, b));
     base_k_ = static_cast<double>(b) * q_max;
 
-    if constexpr (kDynamic) {
-      // One membership entry per live element — sampled into zero
-      // levels or not — so Insert can reject a duplicate id even when
-      // the original landed in no sample. Doubles as a duplicate-id
-      // check on the input.
-      for (const Element& e : data) {
-        const bool inserted = membership_.try_emplace(e.id).second;
-        TOPK_CHECK(inserted);
-      }
-    }
-
-    std::vector<std::pair<double, std::vector<Element>>> samples;
-    for (double K = base_k_;
-         K <= static_cast<double>(n_) / 4.0;
+    for (double K = base_k_; K <= static_cast<double>(n_) / 4.0;
          K *= 1.0 + kThm2Sigma) {
-      std::vector<Element> r;
-      const double p = 1.0 / K;
-      for (const Element& e : data) {
-        if (rng_.Bernoulli(p)) r.push_back(e);
-      }
-      samples.emplace_back(K, std::move(r));
+      cutoffs_.push_back(K > 1.0 ? static_cast<uint64_t>(0x1p64 / K)
+                                 : ~uint64_t{0});
     }
-
-    for (auto& [K, sample] : samples) {
-      if constexpr (kDynamic) {
-        const uint32_t j = static_cast<uint32_t>(levels_.size());
-        for (const Element& e : sample) membership_[e.id].push_back(j);
-      }
+    std::vector<std::vector<Element>> samples(cutoffs_.size());
+    for (const Element& e : data) {
+      ForEachLevelOf(e.id, [&](size_t j) { samples[j].push_back(e); });
+    }
+    double K = base_k_;
+    for (std::vector<Element>& sample : samples) {
       levels_.push_back(Level{K, max_factory_(std::move(sample))});
+      K *= 1.0 + kThm2Sigma;
     }
     pri_.emplace(pri_factory_(std::move(data)));
+  }
+
+  // Level j's sample test, Lemma 3's premise: with h = Mix64(id ^ salt_),
+  // e is in R_j iff Mix64(h + (j+1) * kGoldenGamma) < cutoffs_[j] =
+  // floor(2^64 / K_j). That is the (j+1)-th SplitMix64 output seeded at
+  // h, so each level draws its own bits: probability 1/K_j, independent
+  // across levels and across distinct ids. Calls f(j) for each level j
+  // holding e.
+  template <typename F>
+  void ForEachLevelOf(uint64_t id, F&& f) const {
+    uint64_t x = Mix64(id ^ salt_);
+    for (size_t j = 0; j < cutoffs_.size(); ++j) {
+      x += kGoldenGamma;
+      if (Mix64(x) < cutoffs_[j]) f(j);
+    }
   }
 
   void ScanAllInto(const Predicate& q, size_t k, Scratch* scratch,
@@ -374,7 +329,7 @@ class SampledTopK {
   }
 
   ReductionOptions options_;
-  Rng rng_;
+  Rng rng_;  // one salt per (re)build
   PriFactory pri_factory_;
   MaxFactory max_factory_;
   size_t n_ = 0;
@@ -384,11 +339,9 @@ class SampledTopK {
   // engaged outside the constructor.
   std::optional<Pri> pri_;
   std::vector<Level> levels_;
-  // Dynamic instantiations: one entry per LIVE element (the value lists
-  // the levels whose sample holds it, possibly none) — completeness is
-  // what lets Insert reject duplicate ids and Erase assert liveness.
-  // Empty for static instantiations (AuditInvariants checks it).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> membership_;
+  // ForEachLevelOf's inputs: the salt, and floor(2^64 / K_j) per level.
+  uint64_t salt_ = 0;
+  std::vector<uint64_t> cutoffs_;
 };
 
 }  // namespace topk

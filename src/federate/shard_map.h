@@ -3,11 +3,11 @@
 // Federation partitions the dataset D by hash on the 64-bit `id` field
 // (ids are unique by the library-wide (weight, id) total-order
 // contract), so every element has exactly one home shard and the union
-// of the shards is D as a multiset. The id bits go through a SplitMix64
-// finalizer before the modulo: ids in this repo are typically dense
-// (1..n), and the finalizer spreads them uniformly regardless of shard
-// count — no shard-count-is-a-power-of-two assumption, no hot shard
-// from sequential allocation.
+// of the shards is D as a multiset. The id bits go through Mix64 (the
+// SplitMix64 finalizer, common/random.h) before the modulo: ids in this
+// repo are typically dense (1..n), and the finalizer spreads them
+// uniformly regardless of shard count — no shard-count-is-a-power-of-two
+// assumption, no hot shard from sequential allocation.
 //
 // The map is pure arithmetic on the id, so the coordinator, the shard
 // builders, and any future router agree on placement without shared
@@ -21,22 +21,15 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/random.h"
 
 namespace topk::federate {
 
-// SplitMix64 finalizer (same mixer common/random.h uses for seeding):
-// bijective on 64-bit ids, so distinct ids never collide before the
-// modulo and the low bits are fully mixed.
-inline uint64_t MixId(uint64_t id) {
-  uint64_t z = id + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
+// Mix64 is bijective on 64-bit ids, so distinct ids never collide
+// before the modulo and the low bits are fully mixed.
 inline size_t ShardOf(uint64_t id, size_t num_shards) {
   TOPK_CHECK(num_shards >= 1);
-  return static_cast<size_t>(MixId(id) % num_shards);
+  return static_cast<size_t>(Mix64(id + kGoldenGamma) % num_shards);
 }
 
 // Splits `data` into num_shards disjoint parts by ShardOf. Every input

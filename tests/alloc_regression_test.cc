@@ -20,7 +20,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -513,10 +512,10 @@ TEST(AllocRegression, StaticReductionsHoldNoElementCopy) {
 
 // Space pin for a substrate without stable slots: dynamic Theorem 2
 // over a DynamicPst is never sharded and keeps no element copy. Beyond
-// a bare DynamicPst on the same data it holds
-// only its sample levels and its membership index (id -> sampled
-// levels, one entry per live element), each measured from a bare
-// instance — after build and after a run of Erases.
+// a bare DynamicPst on the same data it holds only its sample levels,
+// each measured from a bare instance — after build and after a run of
+// Erases. Sample membership is derived from the id, so no per-element
+// index is allowed for.
 TEST(AllocRegression, DynamicReductionHoldsNoElementCopy) {
   TOPK_SKIP_UNDER_SANITIZERS();
   using DynamicThm2 =
@@ -535,20 +534,6 @@ TEST(AllocRegression, DynamicReductionHoldsNoElementCopy) {
       return DynamicRangeMax(std::move(sample));
     });
   }
-  // The membership index, built as SampledTopK builds it; each sampled
-  // element gets its own level list (overlapping samples share lists,
-  // so this is an upper bound).
-  bound += HeldBytes([&] {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> membership;
-    for (const Point1D& e : data) membership.try_emplace(e.id);
-    size_t next = 0;
-    for (uint32_t i = 0; i < shape.num_sample_levels(); ++i) {
-      for (size_t j = 0; j < shape.sample_level_size(i); ++j) {
-        membership[data[next++ % kSpaceN].id].push_back(i);
-      }
-    }
-    return membership;
-  });
   RecordProperty("dyn_thm2_bound_bytes", std::to_string(bound));
 
   const int64_t built = HeldBytes([&] { return DynamicThm2(data); });

@@ -383,6 +383,34 @@ TEST(CrashRecovery, FailedWalResetAfterManifestCommitIsRecoverable) {
   }
 }
 
+// --- the unique-id doors (common/weighted.h) ------------------------
+
+// DurableStore is where outside ids enter in every build: an Insert of
+// a live id and an Erase of a dead one abort before anything is logged.
+TEST(CrashRecoveryDeath, InsertOfLiveIdAborts) {
+  MemStorage dev_mem, wal_mem, man_mem;
+  FileBlockDevice device(&dev_mem, kPage);
+  Store store(&device, &dev_mem, &wal_mem, &man_mem);
+  Rng rng(13);
+  const std::vector<Point1D> pts = test::RandomPoints1D(2, &rng);
+  ASSERT_TRUE(store.Insert(pts[0]));
+  Point1D dup = pts[0];
+  dup.weight += 1.0;
+  EXPECT_DEATH((void)store.Insert(dup), "TOPK_CHECK");
+}
+
+TEST(CrashRecoveryDeath, EraseOfDeadIdAborts) {
+  MemStorage dev_mem, wal_mem, man_mem;
+  FileBlockDevice device(&dev_mem, kPage);
+  Store store(&device, &dev_mem, &wal_mem, &man_mem);
+  Rng rng(14);
+  const std::vector<Point1D> pts = test::RandomPoints1D(2, &rng);
+  ASSERT_TRUE(store.Insert(pts[0]));
+  ASSERT_TRUE(store.Erase(pts[0].id));
+  EXPECT_DEATH((void)store.Erase(pts[0].id), "TOPK_CHECK");  // erased
+  EXPECT_DEATH((void)store.Erase(pts[1].id), "TOPK_CHECK");  // never in
+}
+
 // --- recovery into the serving layer ---------------------------------
 
 // Cold start end-to-end: recover a crashed store, publish the recovered

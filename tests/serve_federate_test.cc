@@ -85,11 +85,17 @@ TEST(ShardMap, PartitionIsDisjointCompleteAndBalanced) {
   }
 }
 
-TEST(ShardMap, MixIdIsDeterministicAndSpreadsDenseIds) {
-  EXPECT_EQ(federate::MixId(42), federate::MixId(42));
-  std::set<uint64_t> low3;
+TEST(ShardMap, ShardOfIsPinnedAndSpreadsDenseIds) {
+  // Placement is Mix64(id + kGoldenGamma) % S: SplitMix64's reference
+  // outputs (0xe220a8397b1dcdaf is its first from seed 0) pin the mixer,
+  // so every element keeps its home shard across releases.
+  EXPECT_EQ(Mix64(0 + kGoldenGamma), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(42 + kGoldenGamma), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(federate::ShardOf(1, 1000003), 745530u);
+  EXPECT_EQ(federate::ShardOf(42, 1000003), 791898u);
+  std::set<size_t> low3;
   for (uint64_t id = 1; id <= 64; ++id) {
-    low3.insert(federate::MixId(id) % 8);
+    low3.insert(federate::ShardOf(id, 8));
   }
   EXPECT_EQ(low3.size(), 8u);  // dense ids reach every residue
 }
